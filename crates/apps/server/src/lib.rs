@@ -238,16 +238,18 @@ impl ServerRun {
 
 /// Runs the server workload under `sched` on `procs` virtual processors.
 pub fn serve(cfg: &ServerConfig, procs: usize, sched: SchedKind) -> ServerRun {
-    serve_with(cfg, base_config(cfg, procs, sched))
+    serve_with(cfg, runtime_config(cfg, procs, sched))
 }
 
 /// Like [`serve`], but with tracing enabled; the trace rides along in
 /// [`ServerRun::report`] for replay comparison and checking.
 pub fn serve_traced(cfg: &ServerConfig, procs: usize, sched: SchedKind) -> ServerRun {
-    serve_with(cfg, base_config(cfg, procs, sched).with_trace())
+    serve_with(cfg, runtime_config(cfg, procs, sched).with_trace())
 }
 
-fn base_config(cfg: &ServerConfig, procs: usize, sched: SchedKind) -> Config {
+/// The runtime [`Config`] that [`serve`] runs `cfg` on; extend it (a
+/// chooser, tracing) and pass it to [`serve_with`].
+pub fn runtime_config(cfg: &ServerConfig, procs: usize, sched: SchedKind) -> Config {
     let mut c = Config::new(procs, sched);
     if cfg.space_bound > 0 {
         c = c.with_space_bound(cfg.space_bound);
@@ -255,7 +257,8 @@ fn base_config(cfg: &ServerConfig, procs: usize, sched: SchedKind) -> Config {
     c
 }
 
-fn serve_with(cfg: &ServerConfig, rt: Config) -> ServerRun {
+/// Runs the server workload `cfg` on the runtime configuration `rt`.
+pub fn serve_with(cfg: &ServerConfig, rt: Config) -> ServerRun {
     let cfg = cfg.clone();
     let (stats, report) = ptdf::run(rt, move || workload(cfg));
     ServerRun { stats, report }

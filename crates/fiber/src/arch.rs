@@ -33,15 +33,18 @@ extern "C" {
 #[no_mangle]
 extern "C" fn ptdf_fiber_entry(data: *mut c_void) -> ! {
     // SAFETY: `data` is the `EntryThunk` pointer installed by `init_stack`.
-    let thunk = unsafe { Box::from_raw(data as *mut EntryThunk) };
-    (thunk.run)(thunk.payload);
+    // Moving the thunk out frees its box now: `run` never returns, so
+    // nothing left alive in this frame would ever be dropped.
+    let EntryThunk { run, payload } = *unsafe { Box::from_raw(data as *mut EntryThunk) };
+    run(payload);
     // `run` transfers control away and is never resumed; reaching here means
     // a completed fiber was switched into again, which is a runtime bug.
     std::process::abort();
 }
 
 /// Type-erased fiber entry: `run(payload)` executes the fiber body and, as its
-/// final action, switches back to the resumer without returning.
+/// final action, switches back to the resumer without returning. It must
+/// free every heap block it owns before that final switch.
 pub struct EntryThunk {
     /// Monomorphic dispatcher provided by `coro.rs`.
     pub run: fn(*mut c_void),

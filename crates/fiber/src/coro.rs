@@ -25,6 +25,24 @@ struct Shared<In, Y, R> {
     state: Cell<u8>, // State discriminant; u8 to keep Cell simple
 }
 
+/// The `(save, restore)` arguments of a fiber's final context switch.
+type SwitchPair = (*mut *mut c_void, *mut c_void);
+
+/// A fiber's main closure, type-erased; `EntryThunk::payload` points at one.
+type ErasedMain = Box<dyn FnOnce() -> SwitchPair>;
+
+/// `EntryThunk::run` for every coroutine: runs the erased main, frees both
+/// of its boxes, then makes the final switch back to the resumer.
+fn run_erased(payload: *mut c_void) {
+    // SAFETY: payload was produced by Box::into_raw in with_stack_unchecked.
+    let main: ErasedMain = *unsafe { Box::from_raw(payload.cast::<ErasedMain>()) };
+    let (save, restore) = main();
+    // SAFETY: `restore` is the resumer's suspended context; this fiber is
+    // done and never resumed, so nothing on its stack is live past here.
+    unsafe { ptdf_raw_switch(save, restore) };
+    unreachable!("completed fiber resumed");
+}
+
 const ST_CREATED: u8 = 0;
 const ST_SUSPENDED: u8 = 1;
 const ST_RUNNING: u8 = 2;
@@ -143,7 +161,9 @@ impl<In, Y, R> Coroutine<In, Y, R> {
 
         // The closure that runs on the fiber stack. It is boxed (type-erased
         // through EntryThunk) and executed exactly once by ptdf_fiber_entry.
-        let fiber_main = move || {
+        // It returns the final switch's arguments so `run_erased` can free
+        // its box before switching away for good.
+        let fiber_main = move || -> SwitchPair {
             let shared = &*shared_ptr;
             shared.state.set(ST_RUNNING);
             if shared.cancel.get() {
@@ -164,26 +184,17 @@ impl<In, Y, R> Coroutine<In, Y, R> {
                 }
             }
             shared.state.set(ST_DONE);
-            // Final switch back to the resumer. fiber_sp doubles as the
-            // (dead) save slot; control never returns here.
-            ptdf_raw_switch(shared.fiber_sp.as_ptr(), shared.caller_sp.get());
-            unreachable!("completed fiber resumed");
+            // Final switch back to the resumer; fiber_sp doubles as the
+            // (dead) save slot.
+            (shared.fiber_sp.as_ptr(), shared.caller_sp.get())
         };
 
-        // Double-box: EntryThunk::payload is a thin pointer to Box<dyn FnMut-ish>.
-        type ErasedMain = Box<dyn FnOnce()>;
+        // Double-box: EntryThunk::payload is a thin pointer to an ErasedMain.
         // Lifetime erasure — justified by this function's safety contract.
-        let erased: ErasedMain = std::mem::transmute::<
-            Box<dyn FnOnce() + '_>,
-            Box<dyn FnOnce() + 'static>,
-        >(Box::new(fiber_main));
+        let erased = std::mem::transmute::<Box<dyn FnOnce() -> SwitchPair + '_>, ErasedMain>(
+            Box::new(fiber_main),
+        );
         let payload = Box::into_raw(Box::new(erased)) as *mut c_void;
-
-        fn run_erased(payload: *mut c_void) {
-            // SAFETY: payload was produced by Box::into_raw above.
-            let f: Box<Box<dyn FnOnce()>> = unsafe { Box::from_raw(payload.cast()) };
-            f();
-        }
 
         let thunk = Box::into_raw(Box::new(EntryThunk { run: run_erased, payload }));
         let initial_sp = init_stack(stack.top(), thunk);
@@ -265,7 +276,7 @@ impl<In, Y, R> Coroutine<In, Y, R> {
                 // SAFETY: pointers were produced by Box::into_raw in new_unchecked.
                 unsafe {
                     let thunk = Box::from_raw(self.pending_thunk);
-                    drop(Box::from_raw(thunk.payload as *mut Box<dyn FnOnce()>));
+                    drop(Box::from_raw(thunk.payload as *mut ErasedMain));
                 }
                 self.pending_thunk = std::ptr::null_mut();
                 self.shared.state.set(ST_DONE);

@@ -2,6 +2,8 @@
 
 use ptdf_smp::CostModel;
 
+use crate::oracle::{Chooser, SharedOracle};
+
 /// Scheduling policy for unbound threads at a given priority level.
 ///
 /// The paper's §2.1/§4 policies:
@@ -30,8 +32,8 @@ pub enum SchedKind {
     Df,
     /// The paper's §5.3 future-work variant: depth-first order with a
     /// bounded locality window — a dispatching processor may take, from
-    /// among the leftmost [`Config::locality_window`] ready threads, one
-    /// that last ran on it. Weakens the space bound by at most the window
+    /// among the leftmost [`LOCALITY_WINDOW`] ready threads, one that last
+    /// ran on it. Weakens the space bound by at most the window
     /// size while restoring cache affinity at fine thread granularity.
     DfLocal,
     /// Parallelized depth-first scheduler after Narlikar's `DFDeques` (the
@@ -70,6 +72,15 @@ pub const STACK_1MB: u64 = 1024 * 1024;
 /// The reduced default stack size (one 8 KB page) of §4 item 3.
 pub const STACK_8KB: u64 = 8 * 1024;
 
+/// Locality window for [`SchedKind::DfLocal`]: how many of the leftmost
+/// ready threads a dispatching processor may inspect for an affinity match.
+pub const LOCALITY_WINDOW: usize = 16;
+
+/// When tracing, heap allocs/frees at or above this many bytes produce
+/// individual trace events (smaller ones still move the footprint counter
+/// track). Keeps traces of allocation-heavy runs bounded.
+pub const TRACE_ALLOC_THRESHOLD: u64 = 4096;
+
 /// Configuration for a virtual-SMP run.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -85,38 +96,16 @@ pub struct Config {
     /// attributes (1 MB in stock Solaris; 8 KB in the paper's modified
     /// library). This drives the lazy-commit stack memory model.
     pub default_stack: u64,
-    /// Real host stack size for each fiber, in bytes. Purely an
-    /// implementation detail of the reproduction; not accounted.
-    pub fiber_stack: usize,
     /// Seed for the work-stealing victim sequence (determinism).
     pub seed: u64,
-    /// Locality window for [`SchedKind::DfLocal`]: how many of the leftmost
-    /// ready threads a processor may inspect for an affinity match.
-    pub locality_window: usize,
     /// Record an execution trace (see [`crate::Trace`]).
     pub trace: bool,
-    /// When tracing, heap allocs/frees at or above this many bytes produce
-    /// individual trace events (smaller ones still move the footprint
-    /// counter track). Keeps traces of allocation-heavy runs bounded.
-    pub trace_alloc_threshold: u64,
-    /// Schedule-perturbation seed. `Some(seed)` turns on deterministic
-    /// schedule exploration: sync-operation boundaries gain clock jitter
-    /// and may preempt the running thread, multi-thread wakes are
-    /// delivered in shuffled order, same-timestamp processor ties break
-    /// pseudo-randomly, and the work-stealing victim sequence is re-keyed.
-    /// Everything is driven by seeded deterministic generators, so any
-    /// `(policy, seed)` pair replays the exact same perturbed schedule —
-    /// which is what lets the happens-before checker
-    /// ([`crate::check_trace`]) turn a flagged run back into a repro.
-    pub perturb_seed: Option<u64>,
-    /// Chaos-fault seed. `Some(seed)` arms seeded fault injection on top of
-    /// (and independent of) perturbation: lock-holder preemption storms at
-    /// sync boundaries, delayed wake delivery, and spurious condvar wakeups
-    /// (POSIX-sanctioned; `wait` may return without a notify, which is why
-    /// `wait_while` re-checks its predicate). All draws come from a
-    /// deterministic generator, so a `(policy, perturb seed, chaos seed)`
-    /// triple replays the exact same faulted schedule.
-    pub chaos_seed: Option<u64>,
+    /// The run's one decision source (see [`crate::oracle`]): natural (the
+    /// default), scripted by a [`crate::ScheduleOracle`]
+    /// ([`Config::with_oracle`]), or seeded
+    /// ([`Config::with_perturbation`], [`Config::with_chaos`]). Scripted
+    /// and seeded are exclusive: the last builder called wins.
+    pub chooser: Chooser,
     /// Arms the allocation ledger: per-thread attribution of every
     /// `rt_alloc`/`rt_free` (and TLS slot bytes), with a leak report on the
     /// run's [`crate::Report`]. Off by default — the ledger touches a hash
@@ -158,15 +147,6 @@ pub struct Config {
     /// deliberate exception: batching coalesces charge windows, so profiled
     /// phase counts differ between the two engines.
     pub hot_path: bool,
-    /// Scripted schedule oracle for systematic exploration. When set, the
-    /// engine routes every scheduling decision point (dispatch/unpark
-    /// tie-breaks, wake-batch order, queue grants, timeout firing order)
-    /// through the oracle instead of the natural/perturbed resolution, and
-    /// logs each decision. Used by [`fn@crate::explore`]; combine with
-    /// [`Config::trace`] to get the decision log on the run's trace. The
-    /// oracle supersedes [`Config::perturb_seed`] at the decision points it
-    /// owns, so explorer configs should leave perturbation off.
-    pub oracle: Option<crate::oracle::SharedOracle>,
     /// Restores the pre-fix *lazy* timed-wait eviction: a timed waiter
     /// whose deadline fires leaves its queue entry in place until the
     /// waiter resumes, and grant paths hand the object to the front entry
@@ -188,20 +168,15 @@ impl Config {
             quota: DEFAULT_QUOTA,
             cost: CostModel::ultrasparc_167(),
             default_stack: STACK_8KB,
-            fiber_stack: 64 * 1024,
             seed: 0x5EED,
-            locality_window: 16,
             trace: false,
-            trace_alloc_threshold: 4096,
-            perturb_seed: None,
-            chaos_seed: None,
+            chooser: Chooser::Natural,
             ledger: false,
             alloc_fail_rate: None,
             space_bound: None,
             stack_pool_cap: ptdf_fiber::DEFAULT_POOL_CAP,
             host_profile: false,
             hot_path: true,
-            oracle: None,
             lazy_timeout_eviction: false,
         }
     }
@@ -232,36 +207,35 @@ impl Config {
         self
     }
 
-    /// Sets the DfLocal locality window (builder style).
-    pub fn with_locality_window(mut self, window: usize) -> Self {
-        self.locality_window = window;
-        self
-    }
-
     /// Enables execution tracing (builder style).
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
         self
     }
 
-    /// Sets the alloc/free trace-event threshold (builder style); implies
-    /// nothing about tracing itself — combine with [`Config::with_trace`].
-    pub fn with_trace_alloc_threshold(mut self, bytes: u64) -> Self {
-        self.trace_alloc_threshold = bytes;
-        self
-    }
-
-    /// Enables seeded schedule perturbation (builder style). See
-    /// [`Config::perturb_seed`].
+    /// Enables seeded schedule perturbation (builder style): sync-operation
+    /// boundaries gain clock jitter and may preempt the running thread,
+    /// multi-thread wakes are delivered in drawn order, same-timestamp
+    /// processor ties and cancel deliveries are drawn, and the
+    /// work-stealing victim sequence is re-keyed. Every draw comes from
+    /// seeded generators, so a `(policy, seed)` pair replays the exact same
+    /// perturbed schedule — which is what lets the happens-before checker
+    /// ([`crate::check_trace`]) turn a flagged run back into a repro.
+    /// Keeps a chaos seed already set; replaces a scripted oracle.
     pub fn with_perturbation(mut self, seed: u64) -> Self {
-        self.perturb_seed = Some(seed);
+        self.chooser = Chooser::seeded(Some(seed), self.chooser.seeds().1);
         self
     }
 
-    /// Arms seeded chaos-fault injection (builder style). See
-    /// [`Config::chaos_seed`].
+    /// Arms seeded chaos-fault injection (builder style), on top of and
+    /// independent of perturbation: lock-holder preemption storms at sync
+    /// boundaries, delayed wake delivery, and spurious condvar wakeups
+    /// (POSIX-sanctioned; `wait` may return without a notify, which is why
+    /// `wait_while` re-checks its predicate). A `(policy, perturb seed,
+    /// chaos seed)` triple replays the exact same faulted schedule. Keeps a
+    /// perturbation seed already set; replaces a scripted oracle.
     pub fn with_chaos(mut self, seed: u64) -> Self {
-        self.chaos_seed = Some(seed);
+        self.chooser = Chooser::seeded(self.chooser.seeds().0, Some(seed));
         self
     }
 
@@ -317,10 +291,13 @@ impl Config {
         self
     }
 
-    /// Installs a scripted schedule oracle (builder style). See
-    /// [`Config::oracle`].
-    pub fn with_oracle(mut self, oracle: crate::oracle::SharedOracle) -> Self {
-        self.oracle = Some(oracle);
+    /// Installs a scripted schedule oracle (builder style): every decision
+    /// point follows its prefix and logs into it, and no fault is injected.
+    /// Used by [`fn@crate::explore`]; combine with [`Config::with_trace`] to
+    /// get the decision log on the run's trace. Replaces any perturbation
+    /// or chaos seed.
+    pub fn with_oracle(mut self, oracle: SharedOracle) -> Self {
+        self.chooser = Chooser::Scripted(oracle);
         self
     }
 

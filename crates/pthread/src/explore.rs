@@ -6,8 +6,8 @@
 //! with everything beyond the prefix defaulting to index 0 (the natural
 //! choice). [`explore`] walks that space depth-first:
 //!
-//! 1. Execute the current prefix bit-exactly (scripted oracle, trace on,
-//!    perturbation and chaos off) and read back the full decision log.
+//! 1. Execute the current prefix bit-exactly (scripted chooser, trace on)
+//!    and read back the full decision log.
 //! 2. Check the run: the happens-before checker over the trace, the stall
 //!    watchdog's verdict, deadlock-sentinel unwinds, and workload panics
 //!    (assertion failures) are all violations.
@@ -198,28 +198,22 @@ fn fingerprint_trace(kind: &Option<String>, trace: &Trace) -> u64 {
     fnv1a(body.as_bytes())
 }
 
-/// Executes one schedule from `prefix` under a scripted oracle: trace on,
-/// perturbation and chaos disarmed (the oracle owns every decision point).
+/// Executes one schedule from `prefix` under a scripted chooser: trace on,
+/// no seeded perturbation or chaos (the oracle owns every decision point).
 fn execute<W>(base: &Config, prefix: &[u32], workload: W) -> RunResult
 where
     W: Fn() + 'static,
 {
     let oracle = ScheduleOracle::scripted(prefix.to_vec()).shared();
-    let mut cfg = base.clone();
-    cfg.oracle = Some(oracle.clone());
+    let mut cfg = base.clone().with_oracle(oracle.clone());
     cfg.trace = true;
-    cfg.perturb_seed = None;
-    cfg.chaos_seed = None;
     let res = catch_unwind(AssertUnwindSafe(move || try_run(cfg, workload)));
     // The oracle outlives the run either way: harvest the decision log.
     let log: Vec<DecisionRecord> = oracle.borrow().log().to_vec();
-    let decisions = oracle.borrow().decisions();
-    let taken = oracle.borrow().taken();
     let (kind, detail, trace) = match res {
         Ok(Ok((_, report))) => {
             let trace = report.trace.expect("explorer runs always trace");
-            let check = check_trace(&trace);
-            match check.violations.first() {
+            match check_trace(&trace).violations.first() {
                 Some(v) => {
                     let d = v.to_string();
                     (Some(kind_label(&d)), d, Some(trace))
@@ -231,35 +225,26 @@ where
             let d = run_err.stall.to_string();
             (Some("stall".to_string()), d, run_err.report.trace)
         }
+        // A panicked run has no recoverable trace; the shared oracle
+        // preserved its decision log through the unwind.
         Err(payload) => {
-            let d = if let Some(dl) = payload.downcast_ref::<crate::DeadlockError>() {
-                return finish_panic(
-                    log,
-                    decisions,
-                    taken,
-                    "deadlock".to_string(),
-                    dl.to_string(),
-                );
+            let (kind, d) = if let Some(dl) = payload.downcast_ref::<crate::DeadlockError>() {
+                ("deadlock", dl.to_string())
             } else if let Some(ce) = payload.downcast_ref::<crate::CancelError>() {
                 // A CancelError that escapes to the root: the workload let
                 // a cancelled thread's unwind propagate uncontained.
-                return finish_panic(
-                    log,
-                    decisions,
-                    taken,
-                    "cancel".to_string(),
-                    ce.to_string(),
-                );
+                ("cancel", ce.to_string())
             } else if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
+                ("panic", (*s).to_string())
             } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
+                ("panic", s.clone())
             } else {
-                "non-string panic payload".to_string()
+                ("panic", "non-string panic payload".to_string())
             };
-            return finish_panic(log, decisions, taken, "panic".to_string(), d);
+            (Some(kind.to_string()), d, None)
         }
     };
+    // Without a trace, fingerprint the decision log plus the class.
     let (fingerprint, touches) = match trace.as_ref() {
         Some(tr) => (fingerprint_trace(&kind, tr), touches_of(tr)),
         None => (fnv1a(format!("{:?}|{:?}", kind, log).as_bytes()), Vec::new()),
@@ -268,35 +253,12 @@ where
         out: ReplayOutcome {
             kind,
             detail,
-            taken,
-            decisions,
+            taken: log.iter().map(|r| r.decision.chosen).collect(),
+            decisions: log.iter().map(|r| r.decision).collect(),
             fingerprint,
         },
         log,
         touches,
-    }
-}
-
-/// A panicked run has no recoverable trace; fingerprint its decision log
-/// (which the shared oracle preserved through the unwind) plus the class.
-fn finish_panic(
-    log: Vec<DecisionRecord>,
-    decisions: Vec<Decision>,
-    taken: Vec<u32>,
-    kind: String,
-    detail: String,
-) -> RunResult {
-    let fingerprint = fnv1a(format!("{:?}|{:?}", kind, log).as_bytes());
-    RunResult {
-        out: ReplayOutcome {
-            kind: Some(kind),
-            detail,
-            taken,
-            decisions,
-            fingerprint,
-        },
-        log,
-        touches: Vec::new(),
     }
 }
 
@@ -408,9 +370,9 @@ where
 /// invariants as `assert!`s inside the workload — an assertion failure
 /// surfaces as a `"panic"` violation with the minimal reproducing prefix.
 ///
-/// `config.trace` is forced on; `config.perturb_seed` and
-/// `config.chaos_seed` are cleared (the oracle owns every decision point;
-/// seeded jitter would only blur replay).
+/// `config.trace` is forced on, and a scripted chooser replaces
+/// `config.chooser` (the oracle owns every decision point; seeded jitter
+/// would only blur replay).
 pub fn explore<W>(config: Config, opts: ExploreOpts, workload: W) -> ExploreReport
 where
     W: Fn() + Clone + 'static,

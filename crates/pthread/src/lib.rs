@@ -83,12 +83,15 @@ pub use critpath::{
     analyze_with_makespan, causal_edge, object_waits, Blame, BlameBucket, CausalEdge, CritPath,
     ObjectBlame, ObjectWait, Segment, ThreadBlame,
 };
-pub use config::{Attr, Config, SchedKind, DEFAULT_QUOTA, STACK_1MB, STACK_8KB};
+pub use config::{
+    Attr, Config, SchedKind, DEFAULT_QUOTA, LOCALITY_WINDOW, STACK_1MB, STACK_8KB,
+    TRACE_ALLOC_THRESHOLD,
+};
 pub use explore::{
     explore, replay_schedule, ExploreOpts, ExploreReport, ReplayOutcome, ViolationCase,
 };
 pub use litmus::{litmus, litmus_names, Litmus};
-pub use oracle::{Decision, DecisionKind, DecisionRecord, ScheduleOracle, SharedOracle};
+pub use oracle::{Chooser, Decision, DecisionKind, DecisionRecord, ScheduleOracle, SharedOracle};
 pub use mem::{
     rt_alloc, rt_free, try_rt_alloc, AllocError, LeakReport, ThreadLedger, TrackedBuf,
 };

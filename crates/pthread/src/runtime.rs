@@ -14,11 +14,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use ptdf_fiber::{Coroutine, ForcedUnwind, Stack, StackPool, Step};
-use ptdf_smp::{Machine, Prng, ProcId, VirtTime};
+use ptdf_smp::{Machine, ProcId, VirtTime};
 
-use crate::config::{Attr, Config, SchedKind};
+use crate::config::{Attr, Config, SchedKind, TRACE_ALLOC_THRESHOLD};
 use crate::mem::Ledger;
-use crate::oracle::{Decision, DecisionKind, SharedOracle};
+use crate::oracle::{Chooser, DecisionKind};
 use crate::report::Report;
 use crate::sched::{make_policy, Policy, Pop};
 use crate::sentinel::{DeadlockError, DeadlockInfo, RunError, StallInfo, StalledThread};
@@ -57,7 +57,6 @@ pub(crate) struct Inner {
     /// Currently executing (thread, processor); set before each resume.
     pub cur: Option<(ThreadId, ProcId)>,
     pub default_stack: u64,
-    pub fiber_stack: usize,
     /// Flight-recorder trace, when enabled. Every hook below tests this
     /// `Option`'s discriminant and nothing else when tracing is off.
     pub trace: Option<Trace>,
@@ -73,11 +72,9 @@ pub(crate) struct Inner {
     /// and `unpark` are the only writers, so refreshing at those two points
     /// keeps the per-call timeslice check bit-identical to a full scan.
     pub ts_min_other: Option<VirtTime>,
-    /// Engine-level schedule perturbation stream, when enabled
-    /// ([`Config::perturb_seed`]): same-timestamp tie-breaks, wake-order
-    /// shuffles, and injected preemptions all draw from this generator, so
-    /// one seed fixes the whole explored schedule.
-    pub perturb: Option<Prng>,
+    /// The run's decision source ([`Config::chooser`]): every decision
+    /// point and fault site below asks it, once.
+    pub chooser: Chooser,
     /// Recycles real (host) fiber stacks across spawns; see
     /// `ptdf_fiber::StackPool`. Completed fibers return their stack here and
     /// the next spawn reuses it, canary re-armed.
@@ -99,19 +96,6 @@ pub(crate) struct Inner {
     /// never touches this map, keeping sentinel bookkeeping off the hot
     /// path. An entry exists exactly while the object has queued waiters.
     holders: HashMap<u32, Vec<ThreadId>>,
-    /// Chaos fault-injection stream, when armed ([`Config::with_chaos`]):
-    /// lock-holder preemption storms, delayed wake delivery and spurious
-    /// condvar wakeups all draw from this generator.
-    pub chaos: Option<Prng>,
-    /// Scripted schedule oracle ([`Config::oracle`]): when present it owns
-    /// every scheduling decision point and logs each decision taken.
-    pub oracle: Option<SharedOracle>,
-    /// Decision log of a perturbed *traced* run without an oracle: the
-    /// perturbation PRNG's tie-break/shuffle outcomes re-expressed as
-    /// [`Decision`]s, harvested onto the trace at run end so `ptdf-trace
-    /// diff` can report decision divergence. Stays empty (and costs one
-    /// discriminant test per decision point) in unperturbed runs.
-    pub decisions: Vec<Decision>,
     /// Pre-fix lazy timed-wait eviction ([`Config::lazy_timeout_eviction`]),
     /// kept for the explorer's bug-demo litmus fixtures.
     pub lazy_evict: bool,
@@ -164,11 +148,14 @@ impl Inner {
         let mut machine =
             Machine::new(config.processors, config.cost.clone(), config.default_stack);
         if config.trace {
-            machine.enable_recording(config.trace_alloc_threshold);
+            machine.enable_recording(TRACE_ALLOC_THRESHOLD);
         }
-        if let Some(seed) = config.perturb_seed {
+        let (perturb_seed, chaos_seed) = config.chooser.seeds();
+        if let Some(seed) = perturb_seed {
             machine.enable_perturbation(seed);
         }
+        let mut chooser = config.chooser.clone();
+        chooser.arm_log(config.trace);
         if let Some(limit) = config.space_bound {
             machine.arm_space_bound(limit);
         }
@@ -185,7 +172,6 @@ impl Inner {
             live: 0,
             cur: None,
             default_stack: config.default_stack,
-            fiber_stack: config.fiber_stack,
             trace: config.trace.then(|| {
                 Trace::new(TraceMeta {
                     scheduler: config.scheduler.name().to_string(),
@@ -196,16 +182,11 @@ impl Inner {
                         SchedKind::Df | SchedKind::DfLocal | SchedKind::DfDeques
                     )
                     .then_some(config.quota),
-                    perturb_seed: config.perturb_seed,
-                    chaos_seed: config.chaos_seed,
+                    perturb_seed,
+                    chaos_seed,
                 })
             }),
-            // Distinct stream from the machine-level jitter generator: the
-            // engine draws at different points than the cost model, and
-            // xoring a constant keeps the two sequences uncorrelated.
-            perturb: config
-                .perturb_seed
-                .map(|s| Prng::new(s ^ 0x0051_CED0_5EED_F00D)),
+            chooser,
             hot_path: config.hot_path,
             ts_min_other: None,
             stack_pool: StackPool::new(config.stack_pool_cap),
@@ -217,13 +198,6 @@ impl Inner {
             next_sync_id: 0,
             deadlocks: Vec::new(),
             holders: HashMap::new(),
-            // Distinct stream from both perturbation generators, for the
-            // same decorrelation reason.
-            chaos: config
-                .chaos_seed
-                .map(|s| Prng::new(s ^ 0xC4A0_5F00_D5EE_D001)),
-            oracle: config.oracle.clone(),
-            decisions: Vec::new(),
             lazy_evict: config.lazy_timeout_eviction,
         }
     }
@@ -249,7 +223,7 @@ impl Inner {
 
     /// Hands out a host stack for a new fiber, recycling through the pool.
     pub fn acquire_fiber_stack(&mut self) -> Stack {
-        let stack = self.stack_pool.acquire(self.fiber_stack);
+        let stack = self.stack_pool.acquire(ptdf_fiber::DEFAULT_STACK_SIZE);
         self.sample_pool_cached();
         stack
     }
@@ -343,15 +317,6 @@ impl Inner {
         }
     }
 
-    /// Whether resolved decision points should be pushed onto
-    /// [`Inner::decisions`]: only in perturbed traced runs (the oracle logs
-    /// for itself, and natural runs have exactly one schedule — recording
-    /// it would cost trace bytes on the hot path for zero information).
-    #[inline]
-    fn record_decisions(&self) -> bool {
-        self.trace.is_some() && self.perturb.is_some()
-    }
-
     /// Virtual time to stamp on an object-scoped decision: the deciding
     /// thread's processor clock.
     fn decision_clock(&self) -> VirtTime {
@@ -363,102 +328,41 @@ impl Inner {
 
     /// Resolves a processor tie-break decision point: several processors
     /// tied with `best` at its clock value (and admitted by `eligible`).
-    /// The plain engine keeps `best` (lowest index); perturbation re-picks
-    /// uniformly among the ties; a scripted oracle picks by decision index.
-    /// Single-candidate points return immediately and are never decisions.
+    /// Candidates are in ascending index order, so index 0 is `best`, the
+    /// natural choice. Single-candidate points return immediately and are
+    /// never decisions.
     fn tie_break(
         &mut self,
         best: ProcId,
         kind: DecisionKind,
         eligible: impl Fn(&Inner, ProcId) -> bool,
     ) -> ProcId {
-        if self.perturb.is_none() && self.oracle.is_none() {
+        if matches!(self.chooser, Chooser::Natural) {
             return best;
         }
         let t = self.machine.clock(best);
-        let ties: Vec<ProcId> = (0..self.parked.len())
+        let ties: Vec<u32> = (0..self.parked.len())
             .filter(|&q| eligible(self, q) && self.machine.clock(q) == t)
+            .map(|q| q as u32)
             .collect();
         if ties.len() <= 1 {
             return best;
         }
-        if let Some(oracle) = self.oracle.clone() {
-            // `ties` is sorted ascending, so index 0 is `best`: the natural
-            // choice and the scripted default coincide.
-            debug_assert_eq!(ties[0], best);
-            let cands: Vec<u32> = ties.iter().map(|&q| q as u32).collect();
-            let i = oracle
-                .borrow_mut()
-                .choose(kind, t, ties.len(), None, &cands);
-            return ties[i];
-        }
-        let prng = self.perturb.as_mut().expect("no oracle implies perturb");
-        let i = prng.below(ties.len() as u64) as usize;
-        if self.record_decisions() {
-            self.decisions.push(Decision {
-                kind,
-                at: t,
-                n: ties.len() as u32,
-                chosen: i as u32,
-                obj: None,
-            });
-        }
-        ties[i]
+        debug_assert_eq!(ties[0] as ProcId, best);
+        let i = self.chooser.choose(kind, t, ties.len(), None, &ties);
+        ties[i] as ProcId
     }
 
     /// Resolves the delivery order of a multi-thread wake batch (barrier
     /// release, `notify_all`, rwlock reader admission): a genuine schedule
-    /// degree of freedom. Perturbation shuffles; a scripted oracle orders
-    /// the batch by successive selection decisions (pick among `n`, then
-    /// among `n-1`, …) so each position is one replayable decision.
+    /// degree of freedom.
     pub fn wake_order(&mut self, obj: u32, batch: &mut [ThreadId]) {
-        if batch.len() <= 1 {
+        if batch.len() <= 1 || matches!(self.chooser, Chooser::Natural) {
             return;
         }
-        if let Some(oracle) = self.oracle.clone() {
-            let at = self.decision_clock();
-            let mut oracle = oracle.borrow_mut();
-            for i in 0..batch.len() - 1 {
-                let n = batch.len() - i;
-                if n < 2 {
-                    break;
-                }
-                let c = oracle.choose(DecisionKind::WakeOrder, at, n, Some(obj), &[]);
-                batch.swap(i, i + c);
-            }
-            return;
-        }
-        if self.perturb.is_none() {
-            return;
-        }
-        let before: Vec<ThreadId> = if self.record_decisions() {
-            batch.to_vec()
-        } else {
-            Vec::new()
-        };
-        self.perturb.as_mut().expect("checked").shuffle(batch);
-        if !before.is_empty() {
-            // Re-express the shuffle as the selection decisions the oracle
-            // would have taken, so perturbed and scripted runs produce
-            // comparable decision streams.
-            let at = self.decision_clock();
-            let mut rest = before;
-            for &placed in batch.iter() {
-                let n = rest.len();
-                if n < 2 {
-                    break;
-                }
-                let c = rest.iter().position(|&t| t == placed).unwrap_or(0);
-                self.decisions.push(Decision {
-                    kind: DecisionKind::WakeOrder,
-                    at,
-                    n: n as u32,
-                    chosen: c as u32,
-                    obj: Some(obj),
-                });
-                rest.remove(c);
-            }
-        }
+        let at = self.decision_clock();
+        self.chooser
+            .order(DecisionKind::WakeOrder, Some(obj), batch, |_| at);
     }
 
     /// Resolves a queue-grant decision point: which of `n ≥ 1` eligible
@@ -470,21 +374,8 @@ impl Inner {
             return 0;
         }
         let at = self.decision_clock();
-        if let Some(oracle) = self.oracle.clone() {
-            return oracle
-                .borrow_mut()
-                .choose(DecisionKind::Grant, at, n, Some(obj), &[]);
-        }
-        if self.record_decisions() {
-            self.decisions.push(Decision {
-                kind: DecisionKind::Grant,
-                at,
-                n: n as u32,
-                chosen: 0,
-                obj: Some(obj),
-            });
-        }
-        0
+        self.chooser
+            .choose(DecisionKind::Grant, at, n, Some(obj), &[])
     }
 
     /// Allocates a per-run sync-object id (dense, engine-order stable).
@@ -622,13 +513,9 @@ impl Inner {
             .machine
             .clock(p)
             .max(self.threads[t.index()].blocked_at);
-        // Chaos fault: delayed wake delivery — the wake is published up to
-        // 2 µs later than the primitive issued it, exactly like an IPI that
-        // sat in a pending-interrupt register. Still causally sound (never
+        // Fault site: delayed wake delivery. Still causally sound (never
         // earlier than the suspension).
-        if let Some(chaos) = self.chaos.as_mut() {
-            now = VirtTime::from_ns(now.as_ns() + chaos.below(2_001));
-        }
+        now = VirtTime::from_ns(now.as_ns() + self.chooser.wake_delay());
         let (prio, affinity) = {
             let tcb = &self.threads[t.index()];
             (tcb.attr.priority, tcb.last_proc)
@@ -812,26 +699,9 @@ impl Inner {
     /// now (natural), `true` = defer to the wait's own resolution.
     fn choose_cancel_delivery(&mut self, target: ThreadId) -> bool {
         let at = self.decision_clock();
-        if let Some(oracle) = self.oracle.clone() {
-            return oracle
-                .borrow_mut()
-                .choose(DecisionKind::CancelDelivery, at, 2, Some(target.0), &[])
-                == 1;
-        }
-        let Some(prng) = self.perturb.as_mut() else {
-            return false;
-        };
-        let defer = prng.chance(1, 2);
-        if self.record_decisions() {
-            self.decisions.push(Decision {
-                kind: DecisionKind::CancelDelivery,
-                at,
-                n: 2,
-                chosen: defer as u32,
-                obj: Some(target.0),
-            });
-        }
-        defer
+        self.chooser
+            .choose(DecisionKind::CancelDelivery, at, 2, Some(target.0), &[])
+            == 1
     }
 
     /// [`Inner::make_ready`]'s cancellation twin: wakes blocked `t` because
@@ -1253,17 +1123,8 @@ impl Inner {
                 due.push((t, q, at));
             }
         }
-        if due.len() >= 2 {
-            if let Some(oracle) = self.oracle.clone() {
-                let mut oracle = oracle.borrow_mut();
-                for i in 0..due.len() - 1 {
-                    let n = due.len() - i;
-                    let c =
-                        oracle.choose(DecisionKind::TimeoutOrder, due[i].2, n, None, &[]);
-                    due.swap(i, i + c);
-                }
-            }
-        }
+        self.chooser
+            .order(DecisionKind::TimeoutOrder, None, &mut due, |d| d.2);
         let mut fired = false;
         for (t, q, at) in due {
             if !self.deadline_live(t, at) {
@@ -1454,13 +1315,9 @@ pub fn try_run<T: 'static>(
         if let Some(rec) = inner.machine.take_recording() {
             tr.absorb_machine(rec);
         }
-        // Attach the schedule decision log (engine order, never sorted):
-        // from the oracle when one drove the run, else whatever the
-        // perturbed engine recorded. Natural runs attach nothing.
-        tr.decisions = match inner.oracle.as_ref() {
-            Some(oracle) => oracle.borrow().decisions(),
-            None => std::mem::take(&mut inner.decisions),
-        };
+        // Attach the schedule decision log (engine order, never sorted).
+        // Natural runs attach nothing.
+        tr.decisions = inner.chooser.take_decisions();
     }
     let mut stats = {
         let machine = std::mem::replace(
@@ -1630,56 +1487,6 @@ pub(crate) fn maybe_timeslice(rc: &Rc<RefCell<Inner>>) {
     };
     if should {
         suspend_current(rc, YieldReason::Timeslice);
-    }
-}
-
-/// Under perturbation, probabilistically preempts the current thread at a
-/// sync-operation boundary — exactly the points where a real SMP's
-/// involuntary preemption exposes sync-protocol windows. Reuses
-/// [`maybe_timeslice`]'s Running-state guard: a thread that has already
-/// registered itself on a wait queue must not also be requeued as ready.
-pub(crate) fn maybe_perturb_yield(rc: &Rc<RefCell<Inner>>) {
-    let should = {
-        let mut inner = rc.borrow_mut();
-        let Some((tid, p)) = inner.cur else {
-            return;
-        };
-        if inner.threads[tid.index()].state != TState::Running(p) {
-            return;
-        }
-        match inner.perturb.as_mut() {
-            // 1-in-8 keeps runs fast while still visiting each boundary
-            // with high probability across a modest seed budget.
-            Some(prng) => prng.chance(1, 8),
-            None => return,
-        }
-    };
-    if should {
-        suspend_current(rc, YieldReason::Yielded);
-    }
-}
-
-/// Under chaos ([`Config::with_chaos`]), preempts the current thread at a
-/// sync-operation boundary with probability 1/4 — a lock-holder preemption
-/// storm, since sync operations are exactly where threads hold locks. Reuses
-/// the same Running-state guard as [`maybe_perturb_yield`]: a thread already
-/// registered on a wait queue must not also be requeued as ready.
-pub(crate) fn maybe_chaos_yield(rc: &Rc<RefCell<Inner>>) {
-    let should = {
-        let mut inner = rc.borrow_mut();
-        let Some((tid, p)) = inner.cur else {
-            return;
-        };
-        if inner.threads[tid.index()].state != TState::Running(p) {
-            return;
-        }
-        match inner.chaos.as_mut() {
-            Some(prng) => prng.chance(1, 4),
-            None => return,
-        }
-    };
-    if should {
-        suspend_current(rc, YieldReason::Yielded);
     }
 }
 

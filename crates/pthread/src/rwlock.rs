@@ -10,6 +10,7 @@ use std::rc::Rc;
 
 use crate::api::par_ctx;
 use crate::runtime::suspend_current;
+use crate::sync::charge_sync_op;
 use crate::thread::{ThreadId, YieldReason};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +40,16 @@ impl RwState {
             self.writer_id.get().into_iter().collect()
         } else {
             self.reader_ids.borrow().clone()
+        }
+    }
+
+    /// The deadlock sentinel's holder entry: the snapshot while waiters are
+    /// queued, empty (retired) once the queue drained.
+    fn queued_holders(&self) -> Vec<ThreadId> {
+        if self.waiters.borrow().is_empty() {
+            Vec::new()
+        } else {
+            self.holders()
         }
     }
 }
@@ -117,19 +128,14 @@ fn pump(st: &RwState, mut inner: Option<&mut crate::runtime::Inner>) {
             // holder snapshot — an eviction may just have drained the queue.
             if let Some(eng) = inner {
                 let obj = eng.sync_id_for(&st.id);
-                let holders = if st.waiters.borrow().is_empty() {
-                    Vec::new()
-                } else {
-                    st.holders()
-                };
-                eng.note_holders(obj, holders);
+                eng.note_holders(obj, st.queued_holders());
             }
         }
     }
 }
 
-/// Wakes an admitted batch (delivery order is a schedule decision point:
-/// shuffled under perturbation, scripted under the oracle) and records the
+/// Wakes an admitted batch (delivery order is a schedule decision point,
+/// resolved by the run's chooser) and records the
 /// handoff for the happens-before checker and the deadlock sentinel.
 fn wake_admitted(
     st: &RwState,
@@ -145,12 +151,7 @@ fn wake_admitted(
     eng.note_sync(reason, obj, nwaiters, batch.len() as u64);
     // Sentinel registry: the admitted batch holds the lock now; retire the
     // entry once the queue drained.
-    let holders = if st.waiters.borrow().is_empty() {
-        Vec::new()
-    } else {
-        st.holders()
-    };
-    eng.note_holders(obj, holders);
+    eng.note_holders(obj, st.queued_holders());
     for w in batch {
         // Guarded wake: a lazy-mode admission of a thread that already gave
         // up is dropped (a deterministic lost wake the explorer surfaces)
@@ -185,23 +186,6 @@ pub struct WriteGuard<'a, T> {
     lock: &'a RwLock<T>,
 }
 
-fn charge_op() {
-    if let Some(rc) = par_ctx() {
-        {
-            let mut inner = rc.borrow_mut();
-            // Lenient on context: stall-teardown destructors (guard drops)
-            // release the lock with no current thread.
-            let Some((_, p)) = inner.cur else {
-                return;
-            };
-            let c = inner.machine.cost().sync_op;
-            inner.machine.sync_op(p, c);
-        }
-        crate::runtime::maybe_timeslice(&rc);
-        crate::runtime::maybe_chaos_yield(&rc);
-    }
-}
-
 /// The calling thread's id, when inside a runtime thread.
 fn me() -> Option<ThreadId> {
     crate::api::current_thread()
@@ -228,7 +212,7 @@ impl<T> RwLock<T> {
     /// Acquires shared access; blocks while a writer holds or awaits the
     /// lock (writer preference).
     pub fn read(&self) -> ReadGuard<'_, T> {
-        charge_op();
+        charge_sync_op();
         if let Some(rc) = par_ctx() {
             // Cancellation point: deliver a latched request before taking
             // or queueing for the lock.
@@ -288,7 +272,7 @@ impl<T> RwLock<T> {
 
     /// Acquires exclusive access.
     pub fn write(&self) -> WriteGuard<'_, T> {
-        charge_op();
+        charge_sync_op();
         if let Some(rc) = par_ctx() {
             // Cancellation point: deliver a latched request before taking
             // or queueing for the lock.
@@ -336,7 +320,7 @@ impl<T> RwLock<T> {
 
     /// Attempts shared access without blocking.
     pub fn try_read(&self) -> Option<ReadGuard<'_, T>> {
-        charge_op();
+        charge_sync_op();
         let st = &self.inner.state;
         if !st.writer.get() && st.waiters.borrow().is_empty() {
             st.readers.set(st.readers.get() + 1);
@@ -354,7 +338,7 @@ impl<T> RwLock<T> {
     /// waiter owns the next turn, and barging past it would hand two
     /// threads the lock's fairness slot at once.
     pub fn try_write(&self) -> Option<WriteGuard<'_, T>> {
-        charge_op();
+        charge_sync_op();
         let st = &self.inner.state;
         if !st.writer.get() && st.readers.get() == 0 && st.waiters.borrow().is_empty() {
             st.writer.set(true);
@@ -384,12 +368,7 @@ impl<T> RwLock<T> {
             if let Ok(mut inner) = rc.try_borrow_mut() {
                 let st = &self.inner.state;
                 let obj = inner.sync_id_for(&st.id);
-                let holders = if st.waiters.borrow().is_empty() {
-                    Vec::new()
-                } else {
-                    st.holders()
-                };
-                inner.note_holders(obj, holders);
+                inner.note_holders(obj, st.queued_holders());
             }
         }
     }
@@ -407,7 +386,7 @@ impl<T> RwLock<T> {
         &self,
         timeout: ptdf_smp::VirtTime,
     ) -> Result<WriteGuard<'_, T>, crate::TimedOut> {
-        charge_op();
+        charge_sync_op();
         if let Some(rc) = par_ctx() {
             // Cancellation point on entry.
             crate::runtime::deliver_cancel(&rc);
@@ -470,7 +449,7 @@ impl<T> RwLock<T> {
         &self,
         timeout: ptdf_smp::VirtTime,
     ) -> Result<ReadGuard<'_, T>, crate::TimedOut> {
-        charge_op();
+        charge_sync_op();
         if let Some(rc) = par_ctx() {
             // Cancellation point on entry.
             crate::runtime::deliver_cancel(&rc);
@@ -539,7 +518,7 @@ impl<T> std::ops::Deref for ReadGuard<'_, T> {
 
 impl<T> Drop for ReadGuard<'_, T> {
     fn drop(&mut self) {
-        charge_op();
+        charge_sync_op();
         let st = &self.lock.inner.state;
         st.readers.set(st.readers.get() - 1);
         if let Some(me) = me() {
@@ -575,7 +554,7 @@ impl<T> std::ops::DerefMut for WriteGuard<'_, T> {
 
 impl<T> Drop for WriteGuard<'_, T> {
     fn drop(&mut self) {
-        charge_op();
+        charge_sync_op();
         self.lock.inner.state.writer.set(false);
         self.lock.inner.state.writer_id.set(None);
         self.lock.release_next();

@@ -137,7 +137,7 @@ pub(crate) fn make_policy(config: &Config) -> Box<dyn Policy> {
         SchedKind::Df => Box::new(DfSched::new(config.quota.max(1))),
         SchedKind::DfLocal => Box::new(DfSched::with_window(
             config.quota.max(1),
-            config.locality_window.max(1),
+            crate::config::LOCALITY_WINDOW,
             config.processors,
         )),
         SchedKind::DfDeques => {
@@ -147,7 +147,7 @@ pub(crate) fn make_policy(config: &Config) -> Box<dyn Policy> {
             // Schedule perturbation re-keys the victim sequence: steal
             // targeting is the Ws policy's own schedule degree of freedom,
             // so each perturbation seed explores a different one.
-            let seed = match config.perturb_seed {
+            let seed = match config.chooser.seeds().0 {
                 Some(ps) => config.seed ^ ps.rotate_left(17) ^ 0x9E37_79B9_7F4A_7C15,
                 None => config.seed,
             };

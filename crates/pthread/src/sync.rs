@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use crate::api::par_ctx;
 use crate::runtime::suspend_current;
-use crate::thread::{ThreadId, YieldReason};
+use crate::thread::{TState, ThreadId, YieldReason};
 
 /// Sentinel owner for lock acquisition outside a runtime.
 const NO_THREAD: ThreadId = ThreadId(u32::MAX - 1);
@@ -26,7 +26,10 @@ fn current_or_sentinel() -> ThreadId {
     crate::api::current_thread().unwrap_or(NO_THREAD)
 }
 
-fn charge_sync_op() {
+/// The sync-operation boundary every primitive (rwlock included) crosses
+/// on entry: charges the op, then offers the timeslice and the chooser's
+/// boundary-yield fault site.
+pub(crate) fn charge_sync_op() {
     if let Some(rc) = par_ctx() {
         {
             let mut inner = rc.borrow_mut();
@@ -39,13 +42,20 @@ fn charge_sync_op() {
             inner.machine.sync_op(p, c);
         }
         crate::runtime::maybe_timeslice(&rc);
-        // Schedule exploration: sync-operation boundaries are exactly the
-        // points where involuntary preemption exposes protocol windows.
-        crate::runtime::maybe_perturb_yield(&rc);
-        // Chaos fault injection preempts at the same boundaries — sync ops
-        // are exactly where threads hold locks, so this is the lock-holder
-        // preemption storm.
-        crate::runtime::maybe_chaos_yield(&rc);
+        // Sync boundaries are where a real SMP's involuntary preemption
+        // exposes protocol windows, and where threads hold locks. Same
+        // Running-state guard as the timeslice: a thread already on a wait
+        // queue must not also be requeued as ready.
+        let preempt = {
+            let mut inner = rc.borrow_mut();
+            let Some((tid, p)) = inner.cur else {
+                return;
+            };
+            inner.threads[tid.index()].state == TState::Running(p) && inner.chooser.boundary_yield()
+        };
+        if preempt {
+            suspend_current(&rc, YieldReason::Yielded);
+        }
     }
 }
 
@@ -397,8 +407,8 @@ impl Condvar {
     /// There is no naked-notify window here: the waiter is appended to the
     /// wait list *before* the mutex is released, and the engine runs no
     /// other thread between the two steps (the single preemption hook on
-    /// the unlock path, `runtime::maybe_timeslice` — and its
-    /// perturbation twin — refuses to yield a thread whose state is already
+    /// the unlock path, `runtime::maybe_timeslice` — and the chooser's
+    /// boundary yield — refuses to yield a thread whose state is already
     /// `Blocked`). A notifier therefore either sees the waiter on the list
     /// or runs strictly before the wait began.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
@@ -421,21 +431,14 @@ impl Condvar {
             inner.arm_block_evict(Box::new(move |_eng, t| {
                 st2.waiters.borrow_mut().retain(|&w| w != t);
             }));
-            // Chaos fault: occasionally arm a short artificial deadline so
+            // Fault site: occasionally arm a short artificial deadline so
             // this wait returns *spuriously* — POSIX sanctions spurious
             // wakeups, and callers in the canonical `wait_while` idiom must
             // tolerate them. Confined to condvars: every other primitive's
-            // resume protocol asserts a real handoff happened.
-            let spurious = inner.chaos.as_mut().is_some_and(|c| c.chance(1, 8));
-            if spurious {
-                let jitter = inner.chaos.as_mut().expect("checked").below(1_500);
-                let st2 = self.state.clone();
-                inner.arm_timed_wait_evicting(
-                    ptdf_smp::VirtTime::from_ns(500 + jitter),
-                    Box::new(move |_eng, t| {
-                        st2.waiters.borrow_mut().retain(|&w| w != t);
-                    }),
-                );
+            // resume protocol asserts a real handoff happened. The
+            // eviction hook armed above withdraws the timed-out waiter too.
+            if let Some(timeout) = inner.chooser.spurious_wake() {
+                inner.arm_timed_wait(timeout);
             }
         }
         drop(guard); // releases the mutex (may hand it to a lock waiter)

@@ -9,7 +9,7 @@
 //! * **Events** ([`Event`]) — spawn, first dispatch, block/wake (with the
 //!   blocking primitive as the reason), join, steal (victim → thief),
 //!   dummy-thread insertion, quota preemption, stack reserve/release, and
-//!   heap allocs/frees above [`crate::Config::trace_alloc_threshold`].
+//!   heap allocs/frees at or above [`crate::TRACE_ALLOC_THRESHOLD`].
 //! * **Counter tracks** ([`Counters`]) — committed footprint (the paper's
 //!   Figure 9 curve), live threads, ready-queue length, active deque count
 //!   (deque policies), and cumulative scheduler-lock wait. The footprint

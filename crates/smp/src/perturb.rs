@@ -6,8 +6,8 @@
 //! deterministic — and also means the sync layer only ever sees one
 //! interleaving per `(policy, workload)` pair. [`Prng`] is the entropy
 //! source behind the perturbation mode ([`crate::Machine`]'s sync-boundary
-//! jitter, the runtime's wake-order shuffles and same-timestamp
-//! tie-breaks): a tiny SplitMix64 generator whose whole state is its seed,
+//! jitter, the runtime chooser's tie-breaks, wake orders and boundary
+//! yields): a tiny SplitMix64 generator whose whole state is its seed,
 //! so any schedule it produces replays bit-exactly from the `(policy,
 //! seed)` pair alone.
 
@@ -55,14 +55,6 @@ impl Prng {
     pub fn chance(&mut self, num: u64, den: u64) -> bool {
         self.below(den.max(1)) < num
     }
-
-    /// Fisher–Yates shuffle of `items` in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,21 +89,6 @@ mod tests {
             }
         }
         assert_eq!(p.below(0), 0);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation_and_seed_stable() {
-        let mut p = Prng::new(99);
-        let mut v: Vec<u32> = (0..16).collect();
-        p.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..16).collect::<Vec<u32>>());
-        // Replays identically.
-        let mut p2 = Prng::new(99);
-        let mut v2: Vec<u32> = (0..16).collect();
-        p2.shuffle(&mut v2);
-        assert_eq!(v, v2);
     }
 
     #[test]

@@ -705,8 +705,8 @@ fn render_check(path: &str, report: &ptdf::CheckReport) -> String {
             None => {
                 let _ = writeln!(
                     out,
-                    "  replay: trace was not recorded under perturbation \
-                     (re-run with Config::with_perturbation)"
+                    "  replay: trace was not recorded under perturbation or chaos \
+                     (re-run with Config::with_perturbation or Config::with_chaos)"
                 );
             }
         }
@@ -1205,6 +1205,29 @@ mod tests {
     }
 
     #[test]
+    fn diff_names_the_first_decision_two_seeds_split_at() {
+        // Perturbed traced runs, read back through Chrome JSON as the CLI
+        // reads them: the decision log must survive the trip.
+        let traced = |seed| {
+            let cfg = Config::new(4, SchedKind::Df).with_trace().with_perturbation(seed);
+            let (_, report) = run(cfg, || {
+                let b = ptdf::Barrier::new(6);
+                ptdf::scope(|s| (0..6).for_each(|_| drop(s.spawn(|| b.wait()))));
+            });
+            let t = report.trace.unwrap();
+            let back = Trace::from_chrome_json(&t.to_chrome_json()).unwrap();
+            assert!(!t.decisions.is_empty() && back.decisions == t.decisions, "seed {seed}");
+            back
+        };
+        let (a, b) = (traced(1), traced(2));
+        let split = a.decisions.iter().zip(&b.decisions).position(|(x, y)| x != y);
+        let split = split.unwrap_or(a.decisions.len().min(b.decisions.len()));
+        let out = diff(&a, &b);
+        assert!(out.contains(&format!("diverges at decision {split}:")), "{out}");
+        assert!(diff(&a, &traced(1)).contains("decision logs identical"));
+    }
+
+    #[test]
     fn check_prints_violations_and_replay_recipe() {
         let mut t = sample_trace(SchedKind::Fifo);
         t.meta.perturb_seed = Some(99);
@@ -1228,6 +1251,10 @@ mod tests {
             rendered.contains("--sched fifo --perturb-seed 99"),
             "{rendered}"
         );
+        // Without a seed there is no recipe; the hint names both builders.
+        t.meta.perturb_seed = None;
+        let rendered = render_check("t.json", &ptdf::check_trace(&t));
+        assert!(rendered.contains("with_perturbation or Config::with_chaos"), "{rendered}");
     }
 
     #[test]
