@@ -120,10 +120,10 @@ fn merge_server(text: &str, server: Value) -> Value {
     let Value::Obj(mut members) = parsed else {
         panic!("BENCH_sched.json root is not an object");
     };
-    if let Some(slot) = members.iter_mut().find(|(k, _)| &**k == "server") {
+    if let Some(slot) = members.iter_mut().find(|(k, _)| k == "server") {
         slot.1 = server;
     } else {
-        members.push((ptdf::json::intern("server"), server));
+        members.push(("server".to_string(), server));
     }
     Value::Obj(members)
 }

@@ -14,10 +14,13 @@
 //! | [`crate::yield_now`] | on entry and on resume |
 //! | [`cancel_point`] | explicitly |
 //!
-//! Delivery unwinds the thread with a [`CancelError`] panic payload — the
-//! same discipline the deadlock sentinel uses — so every held guard is
-//! released by its destructor on the way out, plus any [`CleanupGuard`]
-//! registered with [`cleanup`] (the `pthread_cleanup_push` analogue).
+//! Delivery unwinds the thread with a [`CancelError`] payload — the same
+//! unwind the deadlock sentinel uses — so every held guard is released by
+//! its destructor on the way out, plus any [`CleanupGuard`] registered with
+//! [`cleanup`] (the `pthread_cleanup_push` analogue). Unlike a deadlock, a
+//! cancel is a requested exit, not a failure: it is raised with
+//! `std::panic::resume_unwind`, which skips the process panic hook, so no
+//! `panicked at` message or backtrace is formatted for it.
 //! Joining a cancelled thread reports
 //! [`crate::JoinError::Canceled`] from `try_join`, and `join` re-raises the
 //! structured [`CancelError`].
@@ -40,7 +43,8 @@
 
 use crate::thread::ThreadId;
 
-/// Panic payload unwinding a cancelled thread at a cancellation point.
+/// Payload unwinding a cancelled thread at a cancellation point, raised
+/// with `std::panic::resume_unwind` (the panic hook does not run).
 ///
 /// Mirrors [`crate::DeadlockError`]: the unwind releases every held guard,
 /// runs [`CleanupGuard`]s, and the payload is delivered to whoever joins

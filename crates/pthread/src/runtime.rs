@@ -1785,7 +1785,7 @@ pub(crate) fn deliver_cancel(rc: &Rc<RefCell<Inner>>) {
             by: by.map(ThreadId),
         }
     };
-    std::panic::panic_any(err);
+    resume_unwind(Box::new(err));
 }
 
 /// The shared resume-side cancellation check: when the wake that resumed
@@ -1800,7 +1800,7 @@ pub(crate) fn unwind_if_cancel_woken(rc: &Rc<RefCell<Inner>>) {
         }
         inner.cancel_error_current()
     };
-    std::panic::panic_any(err);
+    resume_unwind(Box::new(err));
 }
 
 /// Implementation of [`JoinHandle::join`]: re-raises a child panic in the
@@ -1810,7 +1810,7 @@ pub(crate) fn join_impl<T>(h: &JoinHandle<T>) -> T {
     match try_join_impl(h) {
         Ok(v) => v,
         Err(JoinError::Panicked(payload)) => resume_unwind(payload),
-        Err(JoinError::Canceled(e)) => std::panic::panic_any(e),
+        Err(JoinError::Canceled(e)) => resume_unwind(Box::new(e)),
         Err(e @ JoinError::NoValue) => panic!("{e}"),
     }
 }

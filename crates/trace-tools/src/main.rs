@@ -1034,8 +1034,8 @@ fn render_explore(l: &ptdf::Litmus, r: &ptdf::ExploreReport, lazy: bool) -> Stri
 
 /// JSON form of one exploration report (hand-built via [`ptdf::json`]).
 fn explore_json(l: &ptdf::Litmus, r: &ptdf::ExploreReport) -> ptdf::json::Value {
-    use ptdf::json::{intern, obj, Value};
-    let s = |s: &str| Value::Str(intern(s));
+    use ptdf::json::{obj, Value};
+    let s = |s: &str| Value::Str(s.to_string());
     obj(vec![
         ("litmus", s(l.name)),
         ("scheduler", s(&r.scheduler)),
