@@ -147,15 +147,6 @@ pub struct Config {
     /// deliberate exception: batching coalesces charge windows, so profiled
     /// phase counts differ between the two engines.
     pub hot_path: bool,
-    /// Restores the pre-fix *lazy* timed-wait eviction: a timed waiter
-    /// whose deadline fires leaves its queue entry in place until the
-    /// waiter resumes, and grant paths hand the object to the front entry
-    /// without checking that its thread is still blocked on the object.
-    /// This reproduces the stale-grant/lost-wake bugs the schedule
-    /// explorer was built to flush out; it exists only so the litmus
-    /// corpus can pin them. Never enable it in real runs.
-    #[doc(hidden)]
-    pub lazy_timeout_eviction: bool,
 }
 
 impl Config {
@@ -177,7 +168,6 @@ impl Config {
             stack_pool_cap: ptdf_fiber::DEFAULT_POOL_CAP,
             host_profile: false,
             hot_path: true,
-            lazy_timeout_eviction: false,
         }
     }
 
@@ -298,14 +288,6 @@ impl Config {
     /// or chaos seed.
     pub fn with_oracle(mut self, oracle: SharedOracle) -> Self {
         self.chooser = Chooser::Scripted(oracle);
-        self
-    }
-
-    /// Restores the pre-fix lazy timed-wait eviction (builder style); for
-    /// bug-demo fixtures only. See [`Config::lazy_timeout_eviction`].
-    #[doc(hidden)]
-    pub fn with_lazy_timeout_eviction(mut self, on: bool) -> Self {
-        self.lazy_timeout_eviction = on;
         self
     }
 }

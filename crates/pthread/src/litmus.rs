@@ -9,18 +9,23 @@
 //! assertion. The corpus covers every primitive the engine schedules
 //! around: `Mutex`, `RwLock`, `Semaphore`, `Barrier`, `Condvar`, joins,
 //! and timed waits, including the regression scenarios from earlier PRs
-//! (naked condvar notify, wake-batch ordering floor) and the two
-//! timed-wait grant bugs this corpus was built to flush out (stale
-//! semaphore queue slots and the rwlock writer-timeout window — see
-//! DESIGN.md §14.6), plus the cancellation scenarios of DESIGN.md §15
-//! (cancel racing a grant, cleanup handlers on the cancel unwind, cancel
-//! racing a timed wait's deadline, cancel-disabled sections).
+//! (naked condvar notify, wake-batch ordering floor) and the timed-wait
+//! grant scenarios this corpus was built around (a stale queue slot after
+//! a deadline, the rwlock writer-timeout window — see DESIGN.md §14.6),
+//! plus the cancellation scenarios of DESIGN.md §15 (cancel racing a
+//! grant, cleanup handlers on the cancel unwind, cancel racing a timed
+//! wait's deadline, cancel-disabled sections).
 //!
-//! `buggy_lost_update` is intentionally racy (unsynchronized
-//! read-yield-write) and is the known-bad fixture CI uses to prove the
-//! explorer actually finds and minimizes counter-examples.
+//! The `buggy_*` programs are known-bad fixtures the explorer must find,
+//! minimize and replay: `buggy_lost_update` is intentionally racy
+//! (unsynchronized read-yield-write), `buggy_grant_order` asserts an
+//! order only the natural grant gives, and `buggy_stale_grant` /
+//! `buggy_stale_writer` carry the two stale-slot bug shapes of §14.6 in
+//! user code — a ticket queue (`TicketLock`) whose timed waiter gives up
+//! without withdrawing its ticket.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use ptdf_smp::VirtTime;
@@ -165,9 +170,9 @@ fn rwlock_writer_timeout() {
     let rw = Rc::new(RwLock::new(0u32));
     // Single-processor shape (see `sem_timeout_grant`): the deadline must
     // fire while the writer cannot re-run, so the reader's guard drop
-    // pumps the grant queue with the withdrawn writer's entry still
-    // queued — the lazy-eviction bug admits that stale writer and wedges
-    // the lock; eager eviction re-admits the held-back reader instead.
+    // pumps the grant queue right after the writer's entry was evicted —
+    // eviction must re-admit the held-back reader, never the stale writer
+    // (`buggy_stale_writer` is the same shape with the bug left in).
     let r1 = rw.clone();
     let reader1 = spawn(move || {
         let g = r1.read();
@@ -361,9 +366,8 @@ fn buggy_lost_update() {
 }
 
 /// Satellite-1 fixture (mutex flavor of `sem_timeout_grant`): an unlock
-/// after a timed waiter's deadline must hand the lock to the live waiter.
-/// Under lazy eviction the unlock's blind pop grants the stale slot and
-/// the run stalls; eager eviction keeps it clean.
+/// after a timed waiter's deadline must hand the lock to the live waiter,
+/// never to the timed-out slot (see `buggy_stale_grant` for the bug).
 fn mutex_timeout_grant() {
     let m = Rc::new(Mutex::new(0u32));
     let gate = m.lock();
@@ -389,10 +393,7 @@ fn mutex_timeout_grant() {
 }
 
 /// Satellite-1 companion: `notify_one` after a timed waiter's deadline
-/// must still reach the live waiter. Clean under BOTH eviction modes —
-/// the condvar's wake loop skips entries that are no longer blocked, so
-/// a stale timed-out slot cannot eat the notify (unlike the mutex and
-/// semaphore grant paths, which hand ownership to the popped slot).
+/// must still reach the live waiter, never the timed-out wait slot.
 fn condvar_timeout_notify() {
     let m = Rc::new(Mutex::new(false));
     let cv = Rc::new(Condvar::new());
@@ -420,6 +421,151 @@ fn condvar_timeout_notify() {
     cv.notify_one(); // must reach b even with a's stale slot queued ahead
     a.join();
     assert!(b.join(), "notify lost to a timed-out wait slot");
+}
+
+/// A user-level FIFO ticket lock with shared and exclusive entries, built
+/// on [`Mutex`] + [`Condvar`] the way application code builds one. It
+/// carries the stale-slot bug shape on purpose: a timed waiter gives up
+/// on expiry *without withdrawing its ticket*, and a release admits the
+/// queue front blindly, so a grant can go to a ticket whose owner left.
+struct TicketLock {
+    state: Mutex<Tickets>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct Tickets {
+    /// Next ticket number.
+    next: u32,
+    /// Queued tickets in FIFO order, each with its `exclusive` flag.
+    queue: VecDeque<(u32, bool)>,
+    /// Tickets a release admitted that their owners have not collected.
+    admitted: Vec<u32>,
+    /// Active shared holders.
+    shared: u32,
+    /// Whether an exclusive holder is active.
+    exclusive: bool,
+}
+
+impl TicketLock {
+    fn new() -> Self {
+        TicketLock {
+            state: Mutex::new(Tickets::default()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Takes the lock, exclusive or shared. A queued entry blocks every
+    /// later arrival (writer preference). With a `timeout` (per wait) it
+    /// returns `false` on expiry — leaving its ticket queued: the bug.
+    fn enter(&self, exclusive: bool, timeout: Option<VirtTime>) -> bool {
+        let mut g = self.state.lock();
+        let free = !g.exclusive && (!exclusive || g.shared == 0);
+        if free && g.queue.is_empty() {
+            if exclusive {
+                g.exclusive = true;
+            } else {
+                g.shared += 1;
+            }
+            return true;
+        }
+        let ticket = g.next;
+        g.next += 1;
+        g.queue.push_back((ticket, exclusive));
+        while !g.admitted.contains(&ticket) {
+            let Some(t) = timeout else {
+                g = self.cv.wait(g);
+                continue;
+            };
+            let (g2, r) = self.cv.wait_timeout(g, t);
+            g = g2;
+            if r.is_err() {
+                return false; // the bug: `ticket` stays queued (or admitted)
+            }
+        }
+        g.admitted.retain(|&t| t != ticket);
+        true
+    }
+
+    /// Releases the lock and admits the queue front blindly: the front
+    /// exclusive entry once the lock is free, or the run of shared entries.
+    fn leave(&self, exclusive: bool) {
+        let mut g = self.state.lock();
+        if exclusive {
+            g.exclusive = false;
+        } else {
+            g.shared -= 1;
+        }
+        while let Some(&(ticket, ex)) = g.queue.front() {
+            if g.exclusive || (ex && g.shared > 0) {
+                break;
+            }
+            g.queue.pop_front();
+            g.admitted.push(ticket);
+            if ex {
+                g.exclusive = true;
+            } else {
+                g.shared += 1;
+            }
+        }
+        self.cv.notify_all();
+    }
+}
+
+/// Known-bad: the stale-grant shape of the semaphore and mutex grant
+/// paths, in user code. `a` queues for the token with a deadline and gives
+/// up while main holds it; main's release admits the queue front blindly —
+/// `a`'s abandoned ticket — so the single token goes to a thread that left
+/// and the live waiter `b` stalls.
+fn buggy_stale_grant() {
+    let lock = Rc::new(TicketLock::new());
+    assert!(lock.enter(true, None));
+    let la = lock.clone();
+    let a = spawn(move || {
+        if la.enter(true, Some(VirtTime(10_000))) {
+            la.leave(true);
+        }
+    });
+    let lb = lock.clone();
+    let b = spawn(move || {
+        assert!(lb.enter(true, None));
+        lb.leave(true);
+    });
+    yield_now(); // park both waiters behind main's hold
+    crate::work(5_000); // ~30 µs: a's deadline fires while main holds it
+    lock.leave(true); // blind grant: must reach b, not a's stale ticket
+    a.join();
+    b.join();
+}
+
+/// Known-bad: the rwlock writer-timeout shape in user code. A writer
+/// queues behind `reader1` with a deadline and gives up; `reader2` queues
+/// behind the writer. `reader1`'s release admits the writer's abandoned
+/// ticket as a ghost writer, which never leaves, and `reader2` stalls.
+fn buggy_stale_writer() {
+    let lock = Rc::new(TicketLock::new());
+    let l1 = lock.clone();
+    let reader1 = spawn(move || {
+        assert!(l1.enter(false, None));
+        yield_now(); // hold the shared side across the writer's deadline
+        l1.leave(false);
+    });
+    let lw = lock.clone();
+    let writer = spawn(move || {
+        if lw.enter(true, Some(VirtTime(10_000))) {
+            lw.leave(true);
+        }
+    });
+    let l2 = lock.clone();
+    let reader2 = spawn(move || {
+        assert!(l2.enter(false, None)); // queued behind the writer
+        l2.leave(false);
+    });
+    yield_now(); // reader1 holds; the writer and reader2 queue
+    crate::work(5_000); // ~30 µs: the writer's deadline fires here
+    reader1.join();
+    writer.join();
+    reader2.join();
 }
 
 /// Cancellation racing a mutex grant: the victim parks on a held lock and
@@ -657,6 +803,22 @@ const CORPUS: &[Litmus] = &[
         buggy: true,
         body: buggy_lost_update,
     },
+    Litmus {
+        name: "buggy_stale_grant",
+        about: "KNOWN-BAD: a timed waiter leaves its ticket queued; a blind \
+                front grant hands the token to it and the live waiter stalls",
+        procs: 1,
+        buggy: true,
+        body: buggy_stale_grant,
+    },
+    Litmus {
+        name: "buggy_stale_writer",
+        about: "KNOWN-BAD: a timed-out writer's ticket is admitted as a ghost \
+                writer and strands the reader queued behind it",
+        procs: 1,
+        buggy: true,
+        body: buggy_stale_writer,
+    },
 ];
 
 /// The full litmus corpus, in stable order.
@@ -688,6 +850,8 @@ mod tests {
         assert!(!find("condvar_signal").unwrap().buggy);
         assert!(!find("cancel_lock_race").unwrap().buggy);
         assert!(!find("mutex_timeout_grant").unwrap().buggy);
+        assert!(find("buggy_stale_grant").unwrap().buggy);
+        assert!(find("buggy_stale_writer").unwrap().buggy);
         assert!(find("nope").is_none());
     }
 }

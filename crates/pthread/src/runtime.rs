@@ -96,9 +96,6 @@ pub(crate) struct Inner {
     /// never touches this map, keeping sentinel bookkeeping off the hot
     /// path. An entry exists exactly while the object has queued waiters.
     holders: HashMap<u32, Vec<ThreadId>>,
-    /// Pre-fix lazy timed-wait eviction ([`Config::lazy_timeout_eviction`]),
-    /// kept for the explorer's bug-demo litmus fixtures.
-    pub lazy_evict: bool,
 }
 
 /// What kind of execution context the calling code is inside.
@@ -198,7 +195,6 @@ impl Inner {
             next_sync_id: 0,
             deadlocks: Vec::new(),
             holders: HashMap::new(),
-            lazy_evict: config.lazy_timeout_eviction,
         }
     }
 
@@ -586,16 +582,10 @@ impl Inner {
     /// [`Inner::arm_timed_wait`] plus an eager eviction hook: when the
     /// deadline fires, the engine immediately runs `evict` to withdraw the
     /// thread's wait-queue entry (and re-admit whoever that unblocks), so
-    /// no later grant can meet a stale entry. Under the legacy
-    /// [`Config::lazy_timeout_eviction`] mode the hook is discarded and the
-    /// entry lingers until the waiter resumes — the historical behaviour
-    /// the explorer's bug-demo litmus programs pin.
+    /// no later grant can meet a stale entry.
     pub fn arm_timed_wait_evicting(&mut self, timeout: VirtTime, evict: EvictFn) -> VirtTime {
         let deadline = self.arm_timed_wait(timeout);
-        if !self.lazy_evict {
-            let (tid, _) = self.cur.expect("timed wait outside a thread");
-            self.threads[tid.index()].evict = Some(evict);
-        }
+        self.arm_block_evict(evict);
         deadline
     }
 
@@ -632,10 +622,7 @@ impl Inner {
     /// the cancel twin of [`Inner::arm_timed_wait_evicting`]. A later
     /// [`Inner::cancel_wake`] runs the hook to withdraw the thread's
     /// wait-queue entry (and re-admit whoever that unblocks), so no grant
-    /// can land on the cancelled waiter. Unconditional — cancellation
-    /// eviction is always eager, even under the legacy
-    /// [`Config::lazy_timeout_eviction`] bug-demo mode (which pins only the
-    /// historical *timeout* behaviour). A normal wake clears the hook
+    /// can land on the cancelled waiter. A normal wake clears the hook
     /// unrun ([`Inner::make_ready`]).
     pub fn arm_block_evict(&mut self, evict: EvictFn) {
         let (tid, _) = self.cur.expect("block outside a thread");
@@ -1988,13 +1975,8 @@ fn join_wait_timeout(
         unwind_if_cancel_woken(&rc);
         let mut inner = rc.borrow_mut();
         if inner.consume_timeout() {
-            // Withdraw the joiner registration (the target may have exited
-            // concurrently and already taken it — that's fine, the next
-            // join attempt will observe the exit). Under eager eviction the
-            // hook already did this; the legacy lazy mode still needs it.
-            if inner.threads[t].joiner == Some(cur) {
-                inner.threads[t].joiner = None;
-            }
+            // The eviction hook already withdrew the joiner registration.
+            debug_assert_ne!(inner.threads[t].joiner, Some(cur));
             drop(inner);
             // A timed wait's expiry resumption is itself a cancellation
             // point: deliver a request that raced the deadline and lost.

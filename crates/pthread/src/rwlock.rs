@@ -69,22 +69,19 @@ struct RwInner<T> {
 /// or a teardown-path borrow failure) admission state still advances but
 /// wakes and bookkeeping are skipped, like the old lenient `wake_batch`.
 fn pump(st: &RwState, mut inner: Option<&mut crate::runtime::Inner>) {
-    // Strict mode: purge entries whose thread is no longer blocked on this
-    // lock — a timed-out writer's stale entry at the front must not be
-    // admitted (it would install a ghost writer and strand every later
-    // acquirer). Eager eviction already withdrew such entries; this retain
-    // is the second line of defense. Legacy lazy mode skips the purge,
-    // reproducing the historical starvation window.
+    // Purge entries whose thread is no longer blocked on this lock — a
+    // timed-out writer's stale entry at the front must not be admitted (it
+    // would install a ghost writer and strand every later acquirer). Eager
+    // eviction already withdrew such entries; this retain is the second
+    // line of defense.
     if let Some(eng) = inner.as_deref_mut() {
-        if !eng.lazy_evict {
-            let obj = eng.sync_id_for(&st.id);
-            st.waiters.borrow_mut().retain(|w| {
-                let t = match *w {
-                    Waiter::Reader(t) | Waiter::Writer(t) => t,
-                };
-                eng.blocked_on(t, obj)
-            });
-        }
+        let obj = eng.sync_id_for(&st.id);
+        st.waiters.borrow_mut().retain(|w| {
+            let t = match *w {
+                Waiter::Reader(t) | Waiter::Writer(t) => t,
+            };
+            eng.blocked_on(t, obj)
+        });
     }
     let nwaiters = st.waiters.borrow().len() as u64;
     enum Admit {
@@ -153,9 +150,8 @@ fn wake_admitted(
     // entry once the queue drained.
     eng.note_holders(obj, st.queued_holders());
     for w in batch {
-        // Guarded wake: a lazy-mode admission of a thread that already gave
-        // up is dropped (a deterministic lost wake the explorer surfaces)
-        // rather than waking a thread that is not blocked.
+        // Guarded wake: never wake a thread that is not blocked, even if a
+        // stale entry slipped past the purge above.
         if eng.thread_is_blocked(w) {
             eng.make_ready(w, p);
         }
@@ -424,12 +420,9 @@ impl<T> RwLock<T> {
         {
             let mut inner = rc.borrow_mut();
             if inner.consume_timeout() {
-                // Defense in depth for the lazy mode: the eviction hook
-                // already withdrew the entry (and pumped admission) in the
-                // default configuration.
-                st.waiters
-                    .borrow_mut()
-                    .retain(|w| !matches!(*w, Waiter::Writer(x) if x == me));
+                // The eviction hook already withdrew the entry (and pumped
+                // admission).
+                debug_assert!(!st.waiters.borrow().contains(&Waiter::Writer(me)));
                 drop(inner);
                 self.publish_holders();
                 // The expiry resumption is itself a cancellation point.
@@ -493,9 +486,9 @@ impl<T> RwLock<T> {
         {
             let mut inner = rc.borrow_mut();
             if inner.consume_timeout() {
-                st.waiters
-                    .borrow_mut()
-                    .retain(|w| !matches!(*w, Waiter::Reader(x) if x == me));
+                // The eviction hook already withdrew the entry (and pumped
+                // admission).
+                debug_assert!(!st.waiters.borrow().contains(&Waiter::Reader(me)));
                 drop(inner);
                 self.publish_holders();
                 // The expiry resumption is itself a cancellation point.

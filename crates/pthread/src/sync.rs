@@ -247,10 +247,8 @@ impl<T> Mutex<T> {
         {
             let mut inner = rc.borrow_mut();
             if inner.consume_timeout() {
-                // Defense in depth: the eviction hook already withdrew our
-                // entry (unless lazy eviction is armed); repeat the
-                // withdrawal and holders retirement here for the lazy mode.
-                st.waiters.borrow_mut().retain(|&w| w != me);
+                // The eviction hook already withdrew our entry.
+                debug_assert!(!st.waiters.borrow().contains(&me));
                 if st.waiters.borrow().is_empty() {
                     let obj = inner.sync_id_for(&st.id);
                     inner.note_holders(obj, Vec::new());
@@ -303,15 +301,13 @@ impl<T> Mutex<T> {
             Some(rc) => rc.try_borrow_mut().ok(),
             None => None,
         };
-        // Hand off to the next waiter. Strict (default) grant: keep only
+        // Hand off to the next waiter. Strict grant: keep only
         // entries whose thread is still blocked *on this mutex* — eager
         // eviction already withdrew timed-out waiters, this retain is the
         // second line of defense — and let the schedule oracle pick among
-        // them (index 0, FIFO, is the natural choice). Legacy lazy mode
-        // hands the lock to the front entry blindly, reproducing the
-        // historical stale-grant bug the litmus corpus pins.
+        // them (index 0, FIFO, is the natural choice).
         let next = match inner.as_deref_mut() {
-            Some(eng) if !eng.lazy_evict => {
+            Some(eng) => {
                 let obj = eng.sync_id_for(&st.id);
                 st.waiters.borrow_mut().retain(|&w| eng.blocked_on(w, obj));
                 let n = st.waiters.borrow().len();
@@ -322,7 +318,7 @@ impl<T> Mutex<T> {
                     st.waiters.borrow_mut().remove(i)
                 }
             }
-            _ => st.waiters.borrow_mut().pop_front(),
+            None => st.waiters.borrow_mut().pop_front(),
         };
         match next {
             Some(w) => {
@@ -340,11 +336,9 @@ impl<T> Mutex<T> {
                         } else {
                             inner.note_holders(obj, vec![w]);
                         }
-                        // Guarded wake: under lazy eviction the blind grant
-                        // may have picked a thread that already gave up —
-                        // the handoff is then lost (a deterministic stall
-                        // the explorer surfaces) rather than a corrupting
-                        // wake of a running thread.
+                        // Guarded wake: never wake a thread that is not
+                        // blocked, even if a stale entry slipped past the
+                        // retain above.
                         if inner.thread_is_blocked(w) {
                             inner.make_ready(w, p);
                         }
@@ -535,9 +529,8 @@ impl Condvar {
                 // Strict grant: keep only waiters still blocked on this
                 // condvar (spurious/timed wakes were evicted eagerly; the
                 // retain is the second line of defense) and let the oracle
-                // pick the recipient. Legacy lazy mode keeps the historical
-                // skip-unblocked front pop.
-                let woken = if !inner.lazy_evict {
+                // pick the recipient.
+                let woken = {
                     let eng = &mut *inner;
                     self.state.waiters.borrow_mut().retain(|&w| eng.blocked_on(w, obj));
                     let n = self.state.waiters.borrow().len();
@@ -546,13 +539,6 @@ impl Condvar {
                     } else {
                         let i = eng.grant_pick(obj, n);
                         self.state.waiters.borrow_mut().remove(i)
-                    }
-                } else {
-                    loop {
-                        match self.state.waiters.borrow_mut().pop_front() {
-                            Some(w) if !inner.thread_is_blocked(w) => continue,
-                            other => break other,
-                        }
                     }
                 };
                 inner.note_sync(
@@ -563,9 +549,9 @@ impl Condvar {
                 );
                 if let Some(w) = woken {
                     if let Some((_, p)) = inner.cur {
-                        // Guarded wake: a lazy-mode grant to an already-woken
-                        // waiter is dropped (a lost notify the checker and
-                        // explorer surface) rather than corrupting state.
+                        // Guarded wake: never wake a thread that is not
+                        // blocked, even if a stale entry slipped past the
+                        // retain above.
                         if inner.thread_is_blocked(w) {
                             inner.make_ready(w, p);
                         }
@@ -588,17 +574,11 @@ impl Condvar {
             Some(rc) => {
                 let mut inner = rc.borrow_mut();
                 let obj = inner.sync_id_for(&self.state.id);
-                // Drop waiters that already woke spuriously; their wake
-                // happened and counting them would overstate delivery.
-                // Strict mode checks the wait object too, not just the
-                // blocked state.
-                if !inner.lazy_evict {
-                    let eng = &*inner;
-                    woken.retain(|&w| eng.blocked_on(w, obj));
-                } else {
-                    let eng = &*inner;
-                    woken.retain(|&w| eng.thread_is_blocked(w));
-                }
+                // Drop waiters that already woke spuriously (or are now
+                // blocked on something else); their wake happened and
+                // counting them would overstate delivery.
+                let eng = &*inner;
+                woken.retain(|&w| eng.blocked_on(w, obj));
                 inner.wake_order(obj, &mut woken);
                 let n = woken.len() as u64;
                 inner.note_sync(crate::trace::BlockReason::Condvar, obj, n, n);
@@ -747,9 +727,8 @@ impl Semaphore {
         crate::runtime::unwind_if_cancel_woken(&rc);
         let mut inner = rc.borrow_mut();
         if inner.consume_timeout() {
-            // Defense in depth for the lazy mode; the eviction hook already
-            // removed the entry in the default configuration.
-            st.waiters.borrow_mut().retain(|&w| w != me);
+            // The eviction hook already withdrew our entry.
+            debug_assert!(!st.waiters.borrow().contains(&me));
             drop(inner);
             // Expiry resumption is a cancellation point: deliver a request
             // that raced the deadline and lost.
@@ -794,15 +773,12 @@ impl Semaphore {
             Some(rc) => rc.try_borrow_mut().ok(),
             None => None,
         };
-        // Strict grant (default): keep only entries whose thread is still
+        // Strict grant: keep only entries whose thread is still
         // blocked on this semaphore — eager eviction already withdrew
         // timed-out waiters; the retain is the second line of defense —
-        // and let the schedule oracle pick the recipient. Legacy lazy mode
-        // hands the permit to the front entry blindly, reproducing the
-        // stale-grant bug (permit consumed for a thread that gave up; the
-        // next FIFO waiter is stranded).
+        // and let the schedule oracle pick the recipient.
         let woken = match inner.as_deref_mut() {
-            Some(eng) if !eng.lazy_evict => {
+            Some(eng) => {
                 let obj = eng.sync_id_for(&st.id);
                 st.waiters.borrow_mut().retain(|&w| eng.blocked_on(w, obj));
                 let n = st.waiters.borrow().len();
@@ -813,7 +789,7 @@ impl Semaphore {
                     st.waiters.borrow_mut().remove(i)
                 }
             }
-            _ => st.waiters.borrow_mut().pop_front(),
+            None => st.waiters.borrow_mut().pop_front(),
         };
         match woken {
             Some(w) => {
@@ -824,9 +800,9 @@ impl Semaphore {
                     let obj = inner.sync_id_for(&st.id);
                     inner.note_sync(crate::trace::BlockReason::Semaphore, obj, nwaiters, 1);
                     if let Some((_, p)) = inner.cur {
-                        // Guarded wake: a lazy-mode misgrant is dropped (a
-                        // deterministic lost wake) rather than waking a
-                        // thread that is not blocked.
+                        // Guarded wake: never wake a thread that is not
+                        // blocked, even if a stale entry slipped past the
+                        // retain above.
                         if inner.thread_is_blocked(w) {
                             inner.make_ready(w, p);
                         }

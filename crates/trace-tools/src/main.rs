@@ -126,17 +126,15 @@ commands:
       the exact moment the two schedules split, rather than just the
       first differing event downstream of it.
   explore --litmus <name|all> [--sched POLICY] [--depth K] [--budget N]
-          [--procs P] [--replay i,j,...] [--legacy-lazy-eviction] [--json]
+          [--procs P] [--replay i,j,...] [--json]
       Systematic schedule exploration (DPOR) of a litmus program from
       the built-in corpus (ptdf::litmus). Prints schedules executed,
       states pruned, the pruning ratio, and — for every violation
       class found — the minimal decision prefix that reproduces it.
       --replay executes exactly one schedule from the given
-      comma-separated decision prefix instead of exploring.
-      --legacy-lazy-eviction re-enables the historical lazy timed-wait
-      eviction (the stale-grant bugs) so their counter-examples can be
-      reproduced on demand. Exits 1 if a violation was found (or the
-      replayed schedule violates), 0 if the space is clean.
+      comma-separated decision prefix instead of exploring. Exits 1
+      if a violation was found (or the replayed schedule violates), 0
+      if the space is clean.
 ";
 
 fn load(path: &str) -> Result<Trace, String> {
@@ -890,7 +888,6 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     let mut budget = 2000usize;
     let mut procs: Option<usize> = None;
     let mut replay: Option<Vec<u32>> = None;
-    let mut lazy = false;
     let mut json = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -920,7 +917,6 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
                     .collect();
                 replay = Some(prefix.map_err(|e| format!("--replay: {e}"))?);
             }
-            "--legacy-lazy-eviction" => lazy = true,
             "--json" => json = true,
             other => return Err(format!("unknown explore flag `{other}`\n{USAGE}")),
         }
@@ -938,9 +934,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
             )
         })?]
     };
-    let config = |l: &ptdf::Litmus| {
-        ptdf::Config::new(procs.unwrap_or(l.procs), sched).with_lazy_timeout_eviction(lazy)
-    };
+    let config = |l: &ptdf::Litmus| ptdf::Config::new(procs.unwrap_or(l.procs), sched);
 
     if let Some(prefix) = replay {
         let [l] = programs[..] else {
@@ -968,7 +962,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
         if json {
             println!("{}", explore_json(l, &report).to_json());
         } else {
-            print!("{}", render_explore(l, &report, lazy));
+            print!("{}", render_explore(l, &report));
         }
         dirty |= !report.is_clean();
     }
@@ -987,7 +981,7 @@ fn join_u32(v: &[u32]) -> String {
 }
 
 /// Renders one litmus program's exploration report.
-fn render_explore(l: &ptdf::Litmus, r: &ptdf::ExploreReport, lazy: bool) -> String {
+fn render_explore(l: &ptdf::Litmus, r: &ptdf::ExploreReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
@@ -1018,10 +1012,9 @@ fn render_explore(l: &ptdf::Litmus, r: &ptdf::ExploreReport, lazy: bool) -> Stri
         let _ = writeln!(out, "    minimal prefix [{}]", join_u32(&v.prefix));
         let _ = writeln!(
             out,
-            "    replay: ptdf-trace explore --litmus {} --sched {}{} --replay {}",
+            "    replay: ptdf-trace explore --litmus {} --sched {} --replay {}",
             l.name,
             v.policy,
-            if lazy { " --legacy-lazy-eviction" } else { "" },
             if v.prefix.is_empty() {
                 "''".to_string()
             } else {
@@ -1158,29 +1151,34 @@ mod tests {
 
     #[test]
     fn explore_render_prints_minimal_prefix_and_replay_recipe() {
-        let l = ptdf::litmus::find("buggy_grant_order").unwrap();
-        let report = with_quiet_panics(|| {
-            ptdf::explore(
-                Config::new(l.procs, SchedKind::Fifo),
-                ptdf::ExploreOpts::new(4, 200),
-                l.body,
-            )
-        });
-        let out = render_explore(l, &report, false);
+        let explore_fifo = |name: &str| {
+            let l = ptdf::litmus::find(name).unwrap();
+            let cfg = Config::new(l.procs, SchedKind::Fifo);
+            let opts = ptdf::ExploreOpts::new(4, 200);
+            (l, with_quiet_panics(|| ptdf::explore(cfg, opts, l.body)))
+        };
+        let (l, report) = explore_fifo("buggy_grant_order");
+        let out = render_explore(l, &report);
         assert!(out.contains("minimal prefix [1]"), "{out}");
         assert!(
             out.contains("--litmus buggy_grant_order --sched fifo --replay 1"),
             "{out}"
         );
-        let lazy_out = render_explore(l, &report, true);
-        assert!(
-            lazy_out.contains("--sched fifo --legacy-lazy-eviction --replay 1"),
-            "{lazy_out}"
-        );
         let json = explore_json(l, &report).to_json();
         let v = ptdf::json::Value::parse(&json).unwrap();
         assert_eq!(v.get("litmus").and_then(|x| x.as_str()), Some("buggy_grant_order"));
         assert!(v.get("violations").and_then(|x| x.as_arr()).is_some_and(|a| !a.is_empty()));
+
+        // One timed-wait path: a stale-grant stall's recipe carries no
+        // mode flag, and the old mode flag is rejected.
+        let (l, report) = explore_fifo("buggy_stale_grant");
+        let out = render_explore(l, &report);
+        let recipe =
+            "replay: ptdf-trace explore --litmus buggy_stale_grant --sched fifo --replay ''";
+        assert!(out.contains("  stall: ") && out.contains(&format!("    {recipe}\n")), "{out}");
+        let args = ["--litmus", "buggy_stale_grant", "--legacy-lazy-eviction"].map(String::from);
+        let err = cmd_explore(&args).unwrap_err();
+        assert!(err.starts_with("unknown explore flag `--legacy-lazy-eviction`"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! prints `panicked at …` and a backtrace to stderr) never runs for it.
 //! A deadlock found by the sentinel is a real failure and still goes
 //! through the hook. The hook is process-global, so this check is its own
-//! test binary with a single test.
+//! test binary; its only other test never panics in this process.
+//!
+//! That other test pins what happens when a cleanup handler itself panics
+//! while a cancel is unwinding: a panic escaping a destructor during an
+//! unwind aborts the process, loudly. It runs the scenario in a child
+//! process (this binary, re-executed) and checks the abort from outside.
 
 use ptdf::{
     cancel, cancel_point, run, scope, spawn, yield_now, Config, DeadlockError, JoinError, Mutex,
@@ -92,4 +97,44 @@ fn cancellation_does_not_run_the_panic_hook() {
     });
     assert_eq!(hook_calls(), 1, "the deadlock panic must run the hook once");
     drop(std::panic::take_hook());
+}
+
+#[cfg(unix)]
+#[test]
+fn cleanup_handler_panic_during_cancel_unwind_aborts() {
+    use std::os::unix::process::ExitStatusExt;
+    const NAME: &str = "cleanup_handler_panic_during_cancel_unwind_aborts";
+    // Set in the re-executed child, which runs the aborting scenario.
+    const ABORT_CHILD: &str = "PTDF_CLEANUP_PANIC_CHILD";
+    if std::env::var_os(ABORT_CHILD).is_some() {
+        // Cancel a thread blocked on a mutex whose cleanup handler panics.
+        run(Config::new(2, SchedKind::Df), || {
+            let m = Mutex::new(());
+            let gate = m.lock();
+            let m1 = m.clone();
+            let victim = spawn(move || {
+                let _guard = ptdf::cleanup(|| panic!("cleanup handler failed"));
+                let _g = m1.lock();
+            });
+            yield_now(); // park the victim on the held lock
+            assert!(victim.cancel(), "victim exited early");
+            drop(gate);
+            let _ = victim.try_join();
+        });
+        return; // reached only if nothing aborted: the parent then fails
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", NAME, "--nocapture", "--test-threads=1"])
+        .env(ABORT_CHILD, "1")
+        .env_remove("RUST_BACKTRACE")
+        .output()
+        .expect("re-execute the test binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    const SIGABRT: i32 = 6;
+    assert_eq!(out.status.signal(), Some(SIGABRT), "{:?}\n{stderr}", out.status);
+    assert!(stderr.contains("cleanup handler failed"), "{stderr}");
+    assert!(
+        stderr.contains("panic in a destructor during cleanup"),
+        "{stderr}"
+    );
 }

@@ -11,10 +11,14 @@
 //!    bit-identical `ExploreReport`, counter-example prefixes included.
 //! 4. **Detection** — the known-bad fixture is caught, minimized, and its
 //!    minimal prefix replays bit-exactly.
-//! 5. **Regression** — the two timed-wait grant bugs (stale semaphore
-//!    queue slots, rwlock writer-timeout window) reproduce under the
-//!    legacy lazy-eviction mode and are schedule-exhaustively absent
-//!    under the default eager eviction.
+//! 5. **Regression** — the two timed-wait grant bug shapes (a grant to a
+//!    stale semaphore or mutex queue slot, a ghost writer admitted from a
+//!    timed-out rwlock entry) are found as stalls in the user-level
+//!    `buggy_stale_grant` and `buggy_stale_writer` fixtures, and are
+//!    schedule-exhaustively absent from the engine's own primitives
+//!    (`sem_timeout_grant`, `mutex_timeout_grant`,
+//!    `rwlock_writer_timeout`, `condvar_timeout_notify` in the clean
+//!    corpus).
 //!
 //! `REPRO_QUICK=1` shrinks depth/budget for CI smoke runs.
 
@@ -122,6 +126,8 @@ fn exploration_is_deterministic() {
     for (name, procs) in [
         ("sem_timeout_grant", 1),
         ("buggy_grant_order", 1),
+        ("buggy_stale_grant", 1),
+        ("buggy_stale_writer", 1),
         ("cancel_deadline_race", 1),
         ("cancel_lock_race", 1),
     ] {
@@ -136,82 +142,25 @@ fn exploration_is_deterministic() {
 }
 
 #[test]
-fn stale_semaphore_slot_reproduces_under_lazy_eviction() {
-    // Satellite 1: before the fix (legacy lazy eviction), a release could
-    // grant to a waiter whose acquire_timeout deadline had already fired,
-    // stranding the next live waiter forever. The explorer finds that
-    // schedule; the default eager eviction has none, exhaustively.
-    let l = ptdf::litmus::find("sem_timeout_grant").expect("fixture exists");
-    let lazy = explore(
-        Config::new(l.procs, SchedKind::Fifo).with_lazy_timeout_eviction(true),
-        opts(),
-        l.body,
-    );
-    assert!(
-        !lazy.is_clean(),
-        "lazy-eviction semaphore bug no longer reproduces — did the legacy \
-         mode change? ({} schedules explored)",
-        lazy.schedules_executed
-    );
-    let case = &lazy.violations[0];
-    assert!(case.replay_verified, "{case:#?}");
-    for kind in POLICIES {
-        let fixed = explore(Config::new(l.procs, kind), opts(), l.body);
-        assert!(
-            fixed.is_clean(),
-            "eager eviction still loses a grant under {kind:?}: {:#?}",
-            fixed.violations
-        );
-    }
-}
-
-#[test]
-fn stale_mutex_slot_reproduces_under_lazy_eviction() {
-    // Satellite audit (ISSUE 10): the mutex flavor of the PR 9 stale-slot
-    // bug class. Under legacy lazy eviction an unlock's blind pop can hand
-    // the lock to a waiter whose lock_timeout deadline already fired,
-    // stranding the live waiter; eager eviction is exhaustively clean.
-    let l = ptdf::litmus::find("mutex_timeout_grant").expect("fixture exists");
-    let lazy = explore(
-        Config::new(l.procs, SchedKind::Fifo).with_lazy_timeout_eviction(true),
-        opts(),
-        l.body,
-    );
-    assert!(
-        !lazy.is_clean(),
-        "lazy-eviction mutex bug no longer reproduces ({} schedules explored)",
-        lazy.schedules_executed
-    );
-    assert!(lazy.violations[0].replay_verified, "{:#?}", lazy.violations);
-    for kind in POLICIES {
-        let fixed = explore(Config::new(l.procs, kind), opts(), l.body);
-        assert!(
-            fixed.is_clean(),
-            "eager eviction still loses a mutex grant under {kind:?}: {:#?}",
-            fixed.violations
-        );
-    }
-}
-
-#[test]
-fn condvar_notify_is_immune_to_stale_timed_slots() {
-    // Satellite audit (ISSUE 10), negative result worth pinning: the
-    // condvar wake loop skips entries that are no longer blocked, so a
-    // timed-out slot cannot eat a notify even under lazy eviction — the
-    // same schedule space that breaks the mutex and semaphore grant paths
-    // is exhaustively clean here, in BOTH eviction modes.
-    let l = ptdf::litmus::find("condvar_timeout_notify").expect("fixture exists");
-    for lazy in [false, true] {
-        let report = explore(
-            Config::new(l.procs, SchedKind::Fifo).with_lazy_timeout_eviction(lazy),
-            opts(),
-            l.body,
-        );
-        assert!(
-            report.is_clean(),
-            "condvar notify lost to a stale slot (lazy={lazy}): {:#?}",
-            report.violations
-        );
+fn stale_slot_fixtures_stall_and_replay_bit_exactly() {
+    // The stale-slot bug shapes, carried by user-level fixtures: a timed
+    // waiter that gives up without withdrawing its queue entry, meeting a
+    // grant that admits the queue front blindly. The explorer must report
+    // the stall with a replay-verified prefix that replays bit-exactly.
+    for name in ["buggy_stale_grant", "buggy_stale_writer"] {
+        let l = ptdf::litmus::find(name).expect("fixture exists");
+        let cfg = || Config::new(l.procs, SchedKind::Fifo);
+        let report = explore(cfg(), opts(), l.body);
+        let case = report
+            .violations
+            .first()
+            .unwrap_or_else(|| panic!("{name}: stale-slot stall not found"));
+        assert_eq!(case.kind, "stall", "{name}: {case:#?}");
+        assert!(case.replay_verified, "{name}: {case:#?}");
+        let a = replay_schedule(cfg(), &case.prefix, l.body);
+        let b = replay_schedule(cfg(), &case.prefix, l.body);
+        assert_eq!(a.kind.as_deref(), Some("stall"), "{name}: {a:#?}");
+        assert_eq!(a, b, "{name}: counter-example replay diverged");
     }
 }
 
@@ -243,34 +192,6 @@ fn cancel_delivery_is_a_real_decision_point() {
     // Both branches replay bit-exactly.
     let again = replay_schedule(Config::new(l.procs, SchedKind::Df), &prefix, l.body);
     assert_eq!(deferred, again, "cancel-delivery replay diverged");
-}
-
-#[test]
-fn rwlock_writer_timeout_reproduces_under_lazy_eviction() {
-    // Satellite 2: before the fix, a writer unwinding from lock_timeout
-    // left its queue entry behind; grant pumping could then admit the
-    // stale writer slot and strand live waiters. Same shape: legacy mode
-    // must reproduce, default mode must be exhaustively clean.
-    let l = ptdf::litmus::find("rwlock_writer_timeout").expect("fixture exists");
-    let lazy = explore(
-        Config::new(l.procs, SchedKind::Fifo).with_lazy_timeout_eviction(true),
-        opts(),
-        l.body,
-    );
-    assert!(
-        !lazy.is_clean(),
-        "lazy-eviction rwlock bug no longer reproduces ({} schedules explored)",
-        lazy.schedules_executed
-    );
-    assert!(lazy.violations[0].replay_verified, "{:#?}", lazy.violations);
-    for kind in POLICIES {
-        let fixed = explore(Config::new(l.procs, kind), opts(), l.body);
-        assert!(
-            fixed.is_clean(),
-            "writer-timeout window still open under {kind:?}: {:#?}",
-            fixed.violations
-        );
-    }
 }
 
 #[test]
