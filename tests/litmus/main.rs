@@ -141,27 +141,58 @@ fn exploration_is_deterministic() {
     }
 }
 
-#[test]
-fn stale_slot_fixtures_stall_and_replay_bit_exactly() {
-    // The stale-slot bug shapes, carried by user-level fixtures: a timed
-    // waiter that gives up without withdrawing its queue entry, meeting a
-    // grant that admits the queue front blindly. The explorer must report
-    // the stall with a replay-verified prefix that replays bit-exactly.
-    for name in ["buggy_stale_grant", "buggy_stale_writer"] {
-        let l = ptdf::litmus::find(name).expect("fixture exists");
-        let cfg = || Config::new(l.procs, SchedKind::Fifo);
-        let report = explore(cfg(), opts(), l.body);
-        let case = report
-            .violations
-            .first()
-            .unwrap_or_else(|| panic!("{name}: stale-slot stall not found"));
-        assert_eq!(case.kind, "stall", "{name}: {case:#?}");
-        assert!(case.replay_verified, "{name}: {case:#?}");
-        let a = replay_schedule(cfg(), &case.prefix, l.body);
-        let b = replay_schedule(cfg(), &case.prefix, l.body);
-        assert_eq!(a.kind.as_deref(), Some("stall"), "{name}: {a:#?}");
-        assert_eq!(a, b, "{name}: counter-example replay diverged");
+/// The stale-slot bug shape is lazy eviction: a timed waiter gives up
+/// without withdrawing its queue entry, and a grant admits the queue front
+/// blindly. `fixture` carries that shape in user code, so the explorer must
+/// report its stall under fifo with a replay-verified prefix that replays
+/// bit-exactly; `engine` is the same scenario on the runtime's own
+/// primitive, whose eviction is eager, so it must be clean on every policy.
+fn assert_stale_slot_reproduces(fixture: &str, engine: &str) {
+    let l = ptdf::litmus::find(fixture).expect("fixture exists");
+    let cfg = || Config::new(l.procs, SchedKind::Fifo);
+    let report = explore(cfg(), opts(), l.body);
+    let case = report
+        .violations
+        .first()
+        .unwrap_or_else(|| panic!("{fixture}: stale-slot stall not found"));
+    assert_eq!(case.kind, "stall", "{fixture}: {case:#?}");
+    assert!(case.replay_verified, "{fixture}: {case:#?}");
+    let a = replay_schedule(cfg(), &case.prefix, l.body);
+    let b = replay_schedule(cfg(), &case.prefix, l.body);
+    assert_eq!(a.kind.as_deref(), Some("stall"), "{fixture}: {a:#?}");
+    assert_eq!(a, b, "{fixture}: counter-example replay diverged");
+
+    let e = ptdf::litmus::find(engine).expect("fixture exists");
+    for kind in POLICIES {
+        let fixed = explore(Config::new(e.procs, kind), opts(), e.body);
+        assert!(
+            fixed.is_clean(),
+            "{engine}: eager eviction still loses a grant under {kind:?}: {:#?}",
+            fixed.violations
+        );
     }
+}
+
+#[test]
+fn stale_semaphore_slot_reproduces_under_lazy_eviction() {
+    // A release granting the token to a waiter whose acquire_timeout
+    // deadline already fired strands the next live waiter.
+    assert_stale_slot_reproduces("buggy_stale_grant", "sem_timeout_grant");
+}
+
+#[test]
+fn stale_mutex_slot_reproduces_under_lazy_eviction() {
+    // The mutex flavor: an unlock's blind pop hands the lock to a waiter
+    // whose lock_timeout deadline already fired.
+    assert_stale_slot_reproduces("buggy_stale_grant", "mutex_timeout_grant");
+}
+
+#[test]
+fn rwlock_writer_timeout_reproduces_under_lazy_eviction() {
+    // A writer unwinding from lock_timeout leaves its queue entry behind;
+    // the reader's release admits it as a ghost writer and strands the
+    // reader queued behind it.
+    assert_stale_slot_reproduces("buggy_stale_writer", "rwlock_writer_timeout");
 }
 
 #[test]
